@@ -351,7 +351,7 @@ Marketplace::Marketplace(const MarketplaceOptions& opts, int threads, bool arm_p
   FV_CHECK_GT(opts.trace.vms, 0);
   FV_CHECK_GT(opts.trace.requests_per_vcpu, 0u);
   // The largest VM must fit the cluster's aggregate at all.
-  FV_CHECK_LE(opts.trace.max_vcpus,
+  FV_CHECK_LE(static_cast<uint64_t>(opts.trace.max_vcpus),
               static_cast<uint64_t>(opts.num_nodes) * static_cast<uint64_t>(opts.vcpus_per_node));
 
   policy_ = MakePlacementPolicy(opts.policy);

@@ -23,12 +23,14 @@ ParallelEventLoop::ParallelEventLoop(Options options) : opt_(options) {
   parts_.reserve(static_cast<size_t>(opt_.num_partitions));
   for (int p = 0; p < opt_.num_partitions; ++p) {
     parts_.push_back(std::make_unique<Partition>());
+    parts_.back()->dirty.resize(static_cast<size_t>(opt_.num_threads));
   }
   lanes_.resize(static_cast<size_t>(opt_.num_partitions) *
                 static_cast<size_t>(opt_.num_partitions));
+  threads_.resize(static_cast<size_t>(opt_.num_threads));
 
-  // Thread 0 is the coordinating (calling) thread; it runs its own share of
-  // partitions inside each window, so only num_threads - 1 workers spawn.
+  // Thread 0 is the calling thread; it runs its own share of partitions
+  // inside each window, so only num_threads - 1 workers spawn.
   for (int ti = 1; ti < opt_.num_threads; ++ti) {
     workers_.emplace_back([this, ti]() { WorkerMain(ti); });
   }
@@ -36,11 +38,8 @@ ParallelEventLoop::ParallelEventLoop(Options options) : opt_(options) {
 
 ParallelEventLoop::~ParallelEventLoop() {
   if (!workers_.empty()) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      shutdown_ = true;
-    }
-    cv_.notify_all();
+    shutdown_ = true;
+    Barrier();
     for (std::thread& w : workers_) {
       w.join();
     }
@@ -55,6 +54,15 @@ TimeNs ParallelEventLoop::now_max() const {
   return t;
 }
 
+void ParallelEventLoop::Post(int src, int dst, MailEntry e) {
+  std::vector<MailEntry>& lane = LaneFor(src, dst).entries;
+  if (lane.empty()) {
+    Partition& s = *parts_[static_cast<size_t>(src)];
+    s.dirty[static_cast<size_t>(dst % opt_.num_threads)].push_back(dst);
+  }
+  lane.push_back(std::move(e));
+}
+
 CrossEventId ParallelEventLoop::ScheduleCross(int src, int dst, TimeNs when,
                                               TimeNs relay_delay, Callback cb,
                                               bool cancellable) {
@@ -64,12 +72,14 @@ CrossEventId ParallelEventLoop::ScheduleCross(int src, int dst, TimeNs when,
   FV_CHECK_LT(dst, opt_.num_partitions);
   FV_CHECK(cb != nullptr);
   FV_CHECK_GE(relay_delay, 0);
-  // Conservative lookahead contract: nothing may land inside the window that
-  // is currently executing (or, between windows, inside the last one).
-  FV_CHECK_GE(when, horizon_);
   if (running_) {
     FV_CHECK_EQ(src, tl_current_partition);
   }
+  // Conservative lookahead contract: nothing may land inside the window that
+  // is currently executing (or, between windows, inside the last one). The
+  // owner of `src` is the running thread; every thread holds the same
+  // horizon, so between runs any of them will do.
+  FV_CHECK_GE(when, threads_[static_cast<size_t>(src % opt_.num_threads)].horizon);
 
   CrossEventId token = kInvalidCrossEventId;
   if (cancellable) {
@@ -78,7 +88,7 @@ CrossEventId ParallelEventLoop::ScheduleCross(int src, int dst, TimeNs when,
     token = (static_cast<uint64_t>(src) << 48) |
             (static_cast<uint64_t>(dst) << 32) | s.next_token++;
   }
-  LaneFor(src, dst).entries.push_back({token, when, relay_delay, /*cancel=*/false, std::move(cb)});
+  Post(src, dst, {token, when, relay_delay, /*cancel=*/false, std::move(cb)});
   return token;
 }
 
@@ -96,24 +106,39 @@ bool ParallelEventLoop::CancelCross(int from, CrossEventId id) {
   if (running_) {
     FV_CHECK_EQ(from, tl_current_partition);
   }
-  LaneFor(from, dst).entries.push_back({id, 0, 0, /*cancel=*/true, nullptr});
+  Post(from, dst, {id, 0, 0, /*cancel=*/true, nullptr});
   return true;
 }
 
-void ParallelEventLoop::DrainMailboxes() {
-  const int P = opt_.num_partitions;
-  for (int dst = 0; dst < P; ++dst) {
+void ParallelEventLoop::Drain(int thread_index) {
+  std::vector<uint32_t>& pairs = threads_[static_cast<size_t>(thread_index)].pairs;
+  pairs.clear();
+  for (int src = 0; src < opt_.num_partitions; ++src) {
+    std::vector<int>& dirty =
+        parts_[static_cast<size_t>(src)]->dirty[static_cast<size_t>(thread_index)];
+    for (const int dst : dirty) {
+      pairs.push_back(static_cast<uint32_t>(dst) << 16 | static_cast<uint32_t>(src));
+    }
+    dirty.clear();
+  }
+  std::sort(pairs.begin(), pairs.end());
+  for (size_t first = 0; first < pairs.size();) {
+    const int dst = static_cast<int>(pairs[first] >> 16);
+    size_t last = first;
+    while (last < pairs.size() && static_cast<int>(pairs[last] >> 16) == dst) {
+      ++last;
+    }
     Partition& d = *parts_[static_cast<size_t>(dst)];
     // Pass 1: commit schedules in (src, FIFO) order — this fixes the
     // destination sequence numbers of equal-time cross events independent of
     // which thread produced them, and guarantees a cancel mailed in the same
     // window as its schedule finds the event committed.
-    for (int src = 0; src < P; ++src) {
-      for (MailEntry& e : LaneFor(src, dst).entries) {
+    for (size_t i = first; i < last; ++i) {
+      for (MailEntry& e : LaneFor(static_cast<int>(pairs[i] & 0xffffu), dst).entries) {
         if (e.cancel) {
           continue;
         }
-        ++stats_.mailbox_events;
+        ++d.mailbox_events;
         const EventId eid =
             e.relay > 0 ? d.loop.ScheduleRelay(e.when, e.relay, std::move(e.cb))
                         : d.loop.ScheduleAt(e.when, std::move(e.cb));
@@ -125,18 +150,18 @@ void ParallelEventLoop::DrainMailboxes() {
     // Pass 2: apply cancels. EventLoop::Cancel rejects handles of events
     // that already fired (slot generations), which is exactly the "late"
     // case of the routed-cancel contract.
-    for (int src = 0; src < P; ++src) {
-      Lane& lane = LaneFor(src, dst);
+    for (size_t i = first; i < last; ++i) {
+      Lane& lane = LaneFor(static_cast<int>(pairs[i] & 0xffffu), dst);
       for (const MailEntry& e : lane.entries) {
         if (!e.cancel) {
           continue;
         }
-        ++stats_.cross_cancels_routed;
+        ++d.cancels_routed;
         auto it = d.cancellable.find(e.token);
         if (it != d.cancellable.end() && d.loop.Cancel(it->second)) {
-          ++stats_.cross_cancels_applied;
+          ++d.cancels_applied;
         } else {
-          ++stats_.cross_cancels_late;
+          ++d.cancels_late;
         }
         if (it != d.cancellable.end()) {
           d.cancellable.erase(it);
@@ -144,78 +169,108 @@ void ParallelEventLoop::DrainMailboxes() {
       }
       lane.entries.clear();
     }
+    first = last;
   }
 }
 
-void ParallelEventLoop::RunWindows(int thread_index) {
-  for (int p = thread_index; p < opt_.num_partitions; p += opt_.num_threads) {
-    tl_current_partition = p;
-    Partition& part = *parts_[static_cast<size_t>(p)];
-    part.dispatched += part.loop.RunBelow(horizon_);
+void ParallelEventLoop::Barrier() {
+  // Yield rounds before a waiter sleeps: enough to cover the imbalance of a
+  // typical window without a futex round trip, few enough that waiters stop
+  // taking turns on the cores soon when a peer is descheduled (more workers
+  // than cores).
+  constexpr int kYieldRounds = 64;
+  if (opt_.num_threads == 1) {
+    return;
   }
-  tl_current_partition = -1;
+  const uint64_t gen = generation_.load(std::memory_order_acquire);
+  if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == opt_.num_threads) {
+    arrived_.store(0, std::memory_order_relaxed);
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      generation_.store(gen + 1, std::memory_order_release);
+    }
+    cv_.notify_all();
+    return;
+  }
+  for (int i = 0; i < kYieldRounds; ++i) {
+    if (generation_.load(std::memory_order_acquire) != gen) {
+      return;
+    }
+    std::this_thread::yield();
+  }
+  std::unique_lock<std::mutex> lk(mu_);
+  cv_.wait(lk, [&] { return generation_.load(std::memory_order_acquire) != gen; });
+}
+
+void ParallelEventLoop::RunThread(int thread_index) {
+  const int P = opt_.num_partitions;
+  const int T = opt_.num_threads;
+  ThreadState& self = threads_[static_cast<size_t>(thread_index)];
+  TimeNs last_horizon = 0;
+  for (;;) {
+    Drain(thread_index);
+    self.next_event_time = EventLoop::kNoPendingEvent;
+    for (int p = thread_index; p < P; p += T) {
+      self.next_event_time =
+          std::min(self.next_event_time, parts_[static_cast<size_t>(p)]->loop.next_event_time());
+    }
+    Barrier();
+    TimeNs tmin = EventLoop::kNoPendingEvent;
+    for (const ThreadState& t : threads_) {
+      tmin = std::min(tmin, t.next_event_time);
+    }
+    if (tmin == EventLoop::kNoPendingEvent) {
+      return;
+    }
+    self.horizon = tmin + opt_.lookahead;
+    if (thread_index == 0) {
+      ++stats_.barriers;
+      stats_.horizon_width_ns.Record(static_cast<double>(self.horizon - last_horizon));
+      last_horizon = self.horizon;
+    }
+    for (int p = thread_index; p < P; p += T) {
+      tl_current_partition = p;
+      Partition& part = *parts_[static_cast<size_t>(p)];
+      part.dispatched += part.loop.RunBelow(self.horizon);
+    }
+    tl_current_partition = -1;
+    Barrier();
+  }
 }
 
 void ParallelEventLoop::WorkerMain(int thread_index) {
-  uint64_t seen = 0;
   for (;;) {
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      cv_.wait(lk, [&] { return shutdown_ || epoch_ != seen; });
-      if (shutdown_) {
-        return;
-      }
-      seen = epoch_;
+    Barrier();  // the start of a Run(), or shutdown
+    if (shutdown_) {
+      return;
     }
-    RunWindows(thread_index);
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      ++done_;
-    }
-    cv_.notify_all();
+    RunThread(thread_index);
   }
 }
 
 size_t ParallelEventLoop::Run() {
   FV_CHECK(!running_);
   running_ = true;
-  const int num_workers = static_cast<int>(workers_.size());
-  TimeNs last_horizon = 0;
-  for (;;) {
-    DrainMailboxes();
-    TimeNs tmin = EventLoop::kNoPendingEvent;
-    for (const auto& p : parts_) {
-      tmin = std::min(tmin, p->loop.next_event_time());
-    }
-    if (tmin == EventLoop::kNoPendingEvent) {
-      break;
-    }
-    horizon_ = tmin + opt_.lookahead;
-    ++stats_.barriers;
-    stats_.horizon_width_ns.Record(static_cast<double>(horizon_ - last_horizon));
-    last_horizon = horizon_;
-    if (num_workers == 0) {
-      RunWindows(0);
-    } else {
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        done_ = 0;
-        ++epoch_;
-      }
-      cv_.notify_all();
-      RunWindows(0);
-      std::unique_lock<std::mutex> lk(mu_);
-      cv_.wait(lk, [&] { return done_ == num_workers; });
-    }
-  }
+  Barrier();  // releases the workers into this run
+  RunThread(0);
   running_ = false;
 
+  // Every thread has passed the last barrier, so all partition counters are
+  // final and visible here.
   stats_.events_dispatched = 0;
+  stats_.mailbox_events = 0;
+  stats_.cross_cancels_routed = 0;
+  stats_.cross_cancels_applied = 0;
+  stats_.cross_cancels_late = 0;
   stats_.events_per_partition.assign(static_cast<size_t>(opt_.num_partitions), 0);
   for (int p = 0; p < opt_.num_partitions; ++p) {
-    const uint64_t n = parts_[static_cast<size_t>(p)]->dispatched;
-    stats_.events_per_partition[static_cast<size_t>(p)] = n;
-    stats_.events_dispatched += n;
+    const Partition& part = *parts_[static_cast<size_t>(p)];
+    stats_.events_per_partition[static_cast<size_t>(p)] = part.dispatched;
+    stats_.events_dispatched += part.dispatched;
+    stats_.mailbox_events += part.mailbox_events;
+    stats_.cross_cancels_routed += part.cancels_routed;
+    stats_.cross_cancels_applied += part.cancels_applied;
+    stats_.cross_cancels_late += part.cancels_late;
   }
   return stats_.events_dispatched;
 }

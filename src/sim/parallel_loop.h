@@ -1,40 +1,52 @@
 // Conservative parallel discrete-event core.
 //
 // The simulation is partitioned into one EventLoop per simulated node, run by
-// a small worker pool. Synchronization is conservative and null-message-free:
-// every cross-partition interaction must arrive at least `lookahead`
-// nanoseconds after it was scheduled (for Fabric traffic the minimum link
-// latency provides that bound), so the coordinator can repeatedly
+// a small thread pool: partition p is owned by thread p % num_threads, and
+// thread 0 is the caller of Run(). Synchronization is conservative and
+// null-message-free: every cross-partition interaction must arrive at least
+// `lookahead` nanoseconds after it was scheduled (for Fabric traffic the
+// minimum link latency provides that bound), so every thread repeatedly
 //
-//   1. drain all cross-partition mailboxes into the destination queues,
-//   2. compute Tmin = min over partitions of next_event_time(),
-//   3. let every partition execute its own queue up to the safe horizon
-//      Tmin + lookahead in parallel, buffering new cross-partition events
-//      in per-(src,dst) mailbox lanes,
-//   4. barrier and repeat.
+//   1. drains the mailbox lanes addressed to the partitions it owns into
+//      their queues, and publishes the earliest pending event time of its
+//      partitions,
+//   2. waits at the window barrier and computes Tmin = the minimum of the
+//      published times (every thread computes the same value),
+//   3. executes its own partitions up to the safe horizon Tmin + lookahead,
+//      buffering new cross-partition events in per-(src,dst) mailbox lanes,
+//   4. waits at the window barrier and repeats.
 //
 // No event executed inside a window can schedule a cross-partition event
 // inside that same window (arrival >= send_time + lookahead >= Tmin +
 // lookahead = horizon), so partitions never interact intra-window and each
-// window's work is embarrassingly parallel.
+// window's work is embarrassingly parallel. There is no coordinator: the
+// drain of a destination needs only that destination's lanes, and Tmin is a
+// reduction over the threads.
+//
+// The drain is sparse. Each source partition records the destinations whose
+// lane went from empty to non-empty, filed by the thread that owns them, so a
+// drain visits only the lanes that carry mail instead of all P^2 of them.
 //
 // Determinism contract: the horizon sequence is a pure function of queue
 // state, each partition's queue executes in its own (time, seq) order, and
-// mailbox lanes are drained in a fixed (dst, src, FIFO) order at each
-// barrier — so commit order, and therefore every simulation output, is
-// byte-identical at any worker count, including 1.
+// each destination commits its non-empty lanes in a fixed (src, FIFO) order,
+// schedules before cancels — so commit order, and therefore every simulation
+// output, is byte-identical at any worker count, including 1.
 //
-// Memory model: lane vectors are plain (non-atomic) storage. During a window
-// a lane is written only by the thread running its source partition; at a
-// barrier it is read and cleared only by the coordinator. The mutex/condvar
-// window handshake that delimits windows carries the necessary happens-before
-// edges, so writer and reader phases strictly alternate and the lanes are
-// data-race free (ThreadSanitizer-clean) without per-operation
-// synchronization.
+// Memory model: lanes and the per-source destination lists are plain
+// (non-atomic) storage. During a window, lane (s, d) and the list of s's
+// destinations owned by thread t are written only by the owner of s; during a
+// drain, lane (s, d) is read and cleared only by the owner of d, and that list
+// only by thread t. The window barrier (an atomic arrival count plus a
+// generation number; waiters yield a few rounds, then sleep on a condition
+// variable) separates these phases and carries the happens-before edges, so
+// the lanes are data-race free (ThreadSanitizer-clean) without per-operation
+// synchronization. With one thread the barrier does nothing.
 
 #ifndef FRAGVISOR_SRC_SIM_PARALLEL_LOOP_H_
 #define FRAGVISOR_SRC_SIM_PARALLEL_LOOP_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -112,7 +124,7 @@ class ParallelEventLoop {
   // with cancellable=true the returned id can be passed to CancelCross.
   //
   // May be called from the source partition's callbacks during a window, or
-  // from the coordinating thread while no window is executing (setup).
+  // from the calling thread while no window is executing (setup).
   CrossEventId ScheduleCross(int src, int dst, TimeNs when, TimeNs relay_delay,
                              Callback cb, bool cancellable = false);
 
@@ -159,8 +171,8 @@ class ParallelEventLoop {
   };
 
   // SPSC lane from one source partition into one destination partition.
-  // Written by the source's worker during a window; drained by the
-  // coordinator at the barrier (see memory-model note above).
+  // Written by the source's owner during a window; drained by the
+  // destination's owner (see memory-model note above).
   struct Lane {
     std::vector<MailEntry> entries;
   };
@@ -168,11 +180,29 @@ class ParallelEventLoop {
   struct Partition {
     EventLoop loop;
     uint32_t next_token = 1;  // per-source cancellable-event counter
+    // As a source: destinations whose lane went from empty to non-empty since
+    // the last drain, one list per owning thread (dirty[dst % num_threads]).
+    std::vector<std::vector<int>> dirty;
     // Committed-but-unfired cancellable events owned by this (dst) partition.
     // Values may go stale after the event fires; EventLoop::Cancel rejects
     // stale handles via slot generations, which is how "late" is detected.
     std::unordered_map<CrossEventId, EventId> cancellable;
     uint64_t dispatched = 0;
+    // As a destination: drain counters, summed into RunStats by Run().
+    uint64_t mailbox_events = 0;
+    uint64_t cancels_routed = 0;
+    uint64_t cancels_applied = 0;
+    uint64_t cancels_late = 0;
+  };
+
+  // Per-thread window state; one cache line each, so publishing a time does
+  // not invalidate the slots of the other threads.
+  struct alignas(64) ThreadState {
+    // Earliest pending event of the thread's partitions after its drain.
+    TimeNs next_event_time = EventLoop::kNoPendingEvent;
+    // End of the window the thread is executing (or executed last).
+    TimeNs horizon = 0;
+    std::vector<uint32_t> pairs;  // drain scratch: dst << 16 | src
   };
 
   Lane& LaneFor(int src, int dst) {
@@ -180,28 +210,34 @@ class ParallelEventLoop {
                   static_cast<size_t>(dst)];
   }
 
-  // Coordinator, between windows: commits all lane entries (schedules first,
-  // then cancels) in deterministic (dst, src, FIFO) order.
-  void DrainMailboxes();
-  // Runs every partition owned by `thread_index` up to horizon_.
-  void RunWindows(int thread_index);
+  // Appends `e` to lane (src, dst), recording dst as dirty for src.
+  void Post(int src, int dst, MailEntry e);
+  // Commits the lanes addressed to partitions owned by `thread_index`:
+  // schedules first, then cancels, in (dst, src, FIFO) order.
+  void Drain(int thread_index);
+  // The window loop of `thread_index` for one Run(): returns once no
+  // partition has a pending event.
+  void RunThread(int thread_index);
   void WorkerMain(int thread_index);
+  // Generation barrier over all num_threads threads; a no-op for one thread.
+  void Barrier();
 
   Options opt_;
   std::vector<std::unique_ptr<Partition>> parts_;
   std::vector<Lane> lanes_;  // [src * P + dst]
+  std::vector<ThreadState> threads_;
   RunStats stats_;
-
-  // Window handshake. horizon_ is plain data: written by the coordinator
-  // before the epoch bump, read by workers after observing it under mu_.
-  TimeNs horizon_ = 0;
   bool running_ = false;
-  std::vector<std::thread> workers_;
+
+  // Barrier state. The last thread to arrive resets arrived_ and bumps
+  // generation_ under mu_, so a thread sleeping on cv_ cannot miss the bump.
+  std::atomic<int> arrived_{0};
+  std::atomic<uint64_t> generation_{0};
   std::mutex mu_;
   std::condition_variable cv_;
-  uint64_t epoch_ = 0;    // guarded by mu_
-  int done_ = 0;          // guarded by mu_
-  bool shutdown_ = false;  // guarded by mu_
+  // Written by the destructor before the barrier that releases the workers.
+  bool shutdown_ = false;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace fragvisor

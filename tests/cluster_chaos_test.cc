@@ -32,13 +32,13 @@ MarketplaceOptions SmallMarketplace() {
   return mo;
 }
 
+#ifndef FV_CHAOS_TIER2
+
 // Fault instants scale off the fault-free horizon so the schedule stays
 // mid-wave even if request costs shift.
 TimeNs Horizon(const MarketplaceOptions& mo) {
   return RunMarketplace(mo, 1).finish_time;
 }
-
-#ifndef FV_CHAOS_TIER2
 
 TEST(ClusterChaosTest, EmptyFaultPlanStaysOnLegacyPath) {
   MarketplaceOptions mo = SmallMarketplace();

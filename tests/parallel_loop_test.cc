@@ -81,9 +81,31 @@ TEST(ParallelLoopTest, PingPongAcrossPartitions) {
   EXPECT_EQ(ploop.stats().mailbox_events, static_cast<uint64_t>(kHops));
 }
 
+// Every RunStats field, compared with the reference run's.
+void ExpectSameStats(const ParallelEventLoop::RunStats& got,
+                     const ParallelEventLoop::RunStats& want, int threads) {
+  EXPECT_EQ(got.barriers, want.barriers) << "threads=" << threads;
+  EXPECT_EQ(got.events_dispatched, want.events_dispatched) << "threads=" << threads;
+  EXPECT_EQ(got.mailbox_events, want.mailbox_events) << "threads=" << threads;
+  EXPECT_EQ(got.cross_cancels_routed, want.cross_cancels_routed) << "threads=" << threads;
+  EXPECT_EQ(got.cross_cancels_applied, want.cross_cancels_applied) << "threads=" << threads;
+  EXPECT_EQ(got.cross_cancels_late, want.cross_cancels_late) << "threads=" << threads;
+  EXPECT_EQ(got.horizon_width_ns.count(), want.horizon_width_ns.count()) << "threads=" << threads;
+  EXPECT_EQ(got.horizon_width_ns.mean(), want.horizon_width_ns.mean()) << "threads=" << threads;
+  EXPECT_EQ(got.events_per_partition, want.events_per_partition) << "threads=" << threads;
+}
+
 TEST(ParallelLoopTest, IdenticalScheduleAtAnyWorkerCount) {
-  // A mesh of cross-partition sends with colliding timestamps; the dispatch
-  // transcript (partition, time, tag) must not depend on the worker count.
+  // A mesh of cross-partition sends with colliding timestamps, run twice on
+  // one loop; the dispatch transcript (partition, time, tag) and every
+  // RunStats field must not depend on the worker count. The first run ends
+  // on a window that mails only a schedule and its cancel, and between the
+  // runs the calling thread mails into that same lane: a drain that kept its
+  // destination lists past the end of a run would commit the lane twice.
+  struct Outcome {
+    std::string transcript;
+    ParallelEventLoop::RunStats stats;
+  };
   const auto run = [](int num_threads) {
     ParallelEventLoop::Options po;
     po.num_partitions = 8;
@@ -120,21 +142,96 @@ TEST(ParallelLoopTest, IdenticalScheduleAtAnyWorkerCount) {
     for (int p = 0; p < 8; ++p) {
       ploop.partition(p)->ScheduleAt(p % 2, [fan, p] { fan.Send(p, 0); });
     }
+    // The last window of the first run, long after the fan has died out.
+    ploop.partition(3)->ScheduleAt(1000, [&ploop] {
+      const CrossEventId id = ploop.ScheduleCross(
+          3, 5, 1100, 0, [] { ADD_FAILURE() << "cancelled event fired"; }, /*cancellable=*/true);
+      ploop.CancelCross(3, id);
+    });
     ploop.Run();
-    std::string flat;
+
+    int restarts = 0;
+    ploop.ScheduleCross(3, 5, 2000, 0, [fan, &restarts] {
+      ++restarts;
+      fan.Send(5, 0);
+    });
+    const CrossEventId id = ploop.ScheduleCross(
+        1, 6, 2000, 0, [] { ADD_FAILURE() << "cancelled event fired"; }, /*cancellable=*/true);
+    EXPECT_TRUE(ploop.CancelCross(2, id));
+    ploop.Run();
+    EXPECT_EQ(restarts, 1) << "threads=" << num_threads;
+    EXPECT_EQ(ploop.stats().cross_cancels_routed, 2u) << "threads=" << num_threads;
+    EXPECT_EQ(ploop.stats().cross_cancels_applied, 2u) << "threads=" << num_threads;
+
+    Outcome out;
     for (const std::vector<std::string>& part : transcript) {
       for (const std::string& s : part) {
-        flat += s;
-        flat += '\n';
+        out.transcript += s;
+        out.transcript += '\n';
       }
     }
-    return flat;
+    out.stats = ploop.stats();
+    return out;
   };
-  const std::string t1 = run(1);
-  EXPECT_EQ(t1, run(2));
-  EXPECT_EQ(t1, run(4));
-  EXPECT_EQ(t1, run(8));
-  EXPECT_FALSE(t1.empty());
+  const Outcome ref = run(1);
+  EXPECT_FALSE(ref.transcript.empty());
+  for (const int threads : {2, 4, 8}) {
+    const Outcome got = run(threads);
+    EXPECT_EQ(got.transcript, ref.transcript) << "threads=" << threads;
+    ExpectSameStats(got.stats, ref.stats, threads);
+  }
+}
+
+TEST(ParallelLoopTest, BarrierStressWithMoreWorkersThanCores) {
+  // One token circles 64 partitions, one hop per window, so nearly every
+  // window is empty and the run is barrier-bound; 8 workers oversubscribe a
+  // small host, which drives waiters from yielding into sleeping. Every
+  // fourth hop also mails a cancellable event and withdraws it in the same
+  // window.
+  static constexpr int kPartitions = 64;
+  static constexpr int kHops = 12000;
+  static constexpr TimeNs kLookahead = 10;
+  const auto run = [](int num_threads) {
+    ParallelEventLoop::Options po;
+    po.num_partitions = kPartitions;
+    po.num_threads = num_threads;
+    po.lookahead = kLookahead;
+    ParallelEventLoop ploop(po);
+    struct Ring {
+      ParallelEventLoop* ploop;
+      int* hops;
+      void Hop(int p) const {
+        if (*hops == kHops) {
+          return;
+        }
+        ++*hops;
+        const TimeNs now = ploop->partition(p)->now();
+        if (*hops % 4 == 0) {
+          const int victim = (p + 2) % kPartitions;
+          const CrossEventId id = ploop->ScheduleCross(
+              p, victim, now + 5 * kLookahead, 0, [] { ADD_FAILURE() << "cancelled event fired"; },
+              /*cancellable=*/true);
+          ploop->CancelCross(p, id);
+        }
+        const int next = (p + 1) % kPartitions;
+        ploop->ScheduleCross(p, next, now + kLookahead, 0,
+                             [copy = *this, next] { copy.Hop(next); });
+      }
+    };
+    // The token is one logical thread of control: it hops serially, and each
+    // hop happens-after the previous one through the window barrier.
+    int hops = 0;
+    Ring ring{&ploop, &hops};
+    ploop.partition(0)->ScheduleAt(0, [ring] { ring.Hop(0); });
+    ploop.Run();
+    EXPECT_EQ(hops, kHops) << "threads=" << num_threads;
+    return ploop.stats();
+  };
+  const ParallelEventLoop::RunStats ref = run(1);
+  EXPECT_GE(ref.barriers, 10000u);
+  EXPECT_EQ(ref.cross_cancels_applied, static_cast<uint64_t>(kHops / 4));
+  EXPECT_EQ(ref.cross_cancels_late, 0u);
+  ExpectSameStats(run(8), ref, 8);
 }
 
 // --- DSM storm byte-identity across worker counts -------------------------

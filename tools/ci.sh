@@ -35,12 +35,13 @@ for config in "${configs[@]}"; do
   echo "=== [$config] build ==="
   cmake --build "$build_dir" -j "$jobs" >/dev/null
   if [ "$config" = "tsan" ]; then
-    # ThreadSanitizer leg: the parallel simulation core is the only place
-    # worker threads touch shared state, so only the parallel tier-1 suites
-    # (ParallelLoop/ParallelCancel/ParallelStorm, which run the coordinator
-    # plus worker pool at up to 8 threads) need the instrumented run.
-    echo "=== [$config] ctest (tier1 parallel core) ==="
-    ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" -L tier1 -R 'Parallel'
+    # ThreadSanitizer leg: every tier-1 suite that starts worker threads —
+    # the parallel core itself (ParallelLoop/ParallelCancel/ParallelStorm,
+    # up to 8 workers) and the suites that run the storm or the marketplace
+    # on it (cluster threads, marketplace, chaos, topology storm, snapshots).
+    echo "=== [$config] ctest (tier1 worker-thread suites) ==="
+    ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" -L tier1 \
+      -R 'Parallel|ClusterThreadsTest|MarketplaceTest|ClusterChaosTest|TopologyStormTest|SnapshotRoundtrip|SnapshotSkew'
     continue
   fi
 
