@@ -131,8 +131,8 @@ void CheckpointService::CheckpointVm(AggregateVm& vm, NodeId ckpt_node,
       // the inventory capture; the image streams to disk in the background
       // while the guest keeps running (as pre-copy/CoW checkpointing does).
       const CheckpointInventory inv = InventoryFromVm(vm, cluster_->num_nodes());
-      cluster_->loop().Trace(TraceCategory::kCkpt, "checkpoint_snapshot",
-                             "pages=" + std::to_string(inv.total_pages()));
+      cluster_->loop().Trace(TraceCategory::kCkpt, "checkpoint_snapshot", "pages=",
+                             inv.total_pages());
       for (int v = 0; v < vm.num_vcpus(); ++v) {
         VCpu& vc = vm.vcpu(v);
         if (vc.life_state() == VCpu::LifeState::kPaused) {

@@ -249,9 +249,8 @@ void AggregateVm::MigrateVcpu(int vcpu_id, NodeId dest_node, int dest_pcpu,
   VCpu* vc = &vcpu(vcpu_id);
   const NodeId src = vc->node();
   const TimeNs t0 = cluster_->loop().now();
-  cluster_->loop().Trace(TraceCategory::kMigration, "vcpu_migration_start",
-                         "vcpu=" + std::to_string(vcpu_id) + " " + std::to_string(src) + "->" +
-                             std::to_string(dest_node));
+  cluster_->loop().Trace(TraceCategory::kMigration, "vcpu_migration_start", "vcpu=", vcpu_id,
+                         " ", src, "->", dest_node);
 
   vc->PauseWhenOffCpu([this, vc, vcpu_id, src, dest_node, dest_pcpu, t0,
                        done = std::move(done)]() mutable {
@@ -284,9 +283,8 @@ void AggregateVm::MigrateVcpu(int vcpu_id, NodeId dest_node, int dest_pcpu,
                                                  done = std::move(done)]() mutable {
           vc->ResumeOn(&cluster_->node(dest_node).pcpu(dest_pcpu), dest_node);
           migration_latency_ns_.Record(static_cast<double>(cluster_->loop().now() - t0));
-          cluster_->loop().Trace(TraceCategory::kMigration, "vcpu_migration_done",
-                                 "vcpu=" + std::to_string(vcpu_id) + " latency_us=" +
-                                     std::to_string(ToMicros(cluster_->loop().now() - t0)));
+          cluster_->loop().Trace(TraceCategory::kMigration, "vcpu_migration_done", "vcpu=",
+                                 vcpu_id, " latency_us=", ToMicros(cluster_->loop().now() - t0));
           if (done) {
             done();
           }

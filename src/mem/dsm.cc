@@ -515,9 +515,8 @@ bool DsmEngine::Access(NodeId node, PageNum page, bool is_write, std::function<v
   txn.is_write = is_write;
   txn.start_time = loop_->now();
   txn.done = std::move(done);
-  loop_->Trace(TraceCategory::kDsm, is_write ? "write_fault" : "read_fault",
-               "node=" + std::to_string(node) + " page=" + std::to_string(page) + " class=" +
-                   PageClassName(cls));
+  loop_->Trace(TraceCategory::kDsm, is_write ? "write_fault" : "read_fault", "node=", node,
+               " page=", page, " class=", PageClassName(cls));
 
   // Requester side: VM exit, fault decode, request dispatch.
   const TimeNs local = costs_->ept_fault_vmexit + HandlerCost();
@@ -761,18 +760,16 @@ void DsmEngine::SendViaRequest(PageNum page, MsgKind kind, NodeId target, Transa
               }
               if (!rpc_->NodeUp(t.requester)) {
                 stats_.txn_absorbed.Add(t.requester);
-                loop_->Trace(TraceCategory::kFault, "dsm_req_absorbed",
-                             "node=" + std::to_string(t.requester) +
-                                 " page=" + std::to_string(page));
+                loop_->Trace(TraceCategory::kFault, "dsm_req_absorbed", "node=", t.requester,
+                             " page=", page);
                 if (t.done) {
                   t.done();
                 }
                 return;
               }
           stats_.txn_retries.Add(t.requester);
-          loop_->Trace(TraceCategory::kFault, "dsm_hint_redirect",
-                       "node=" + std::to_string(t.requester) + " page=" +
-                           std::to_string(page));
+          loop_->Trace(TraceCategory::kFault, "dsm_hint_redirect", "node=", t.requester,
+                       " page=", page);
           DispatchHomeRequest(page, kind, std::move(t));
         },
         QosClass::kLatency, receiver_delay);
@@ -850,9 +847,8 @@ void DsmEngine::RetryTransaction(PageNum page, Transaction txn) {
     return;
   }
   stats_.txn_retries.Add(txn.requester);
-  loop_->Trace(TraceCategory::kFault, "dsm_txn_retry",
-               "node=" + std::to_string(txn.requester) + " page=" + std::to_string(page) +
-                   " attempt=" + std::to_string(txn.attempts));
+  loop_->Trace(TraceCategory::kFault, "dsm_txn_retry", "node=", txn.requester, " page=", page,
+               " attempt=", txn.attempts);
   ReclaimDeadPeers(page);
   RepairPage(page);
   // Any fast-path routing from the original dispatch is void after a failed
@@ -864,8 +860,8 @@ void DsmEngine::RetryTransaction(PageNum page, Transaction txn) {
 
 void DsmEngine::AbsorbTransaction(PageNum page, Transaction txn) {
   stats_.txn_absorbed.Add(txn.requester);
-  loop_->Trace(TraceCategory::kFault, "dsm_txn_absorbed",
-               "node=" + std::to_string(txn.requester) + " page=" + std::to_string(page));
+  loop_->Trace(TraceCategory::kFault, "dsm_txn_absorbed", "node=", txn.requester, " page=",
+               page);
   ReclaimDeadPeers(page);
   RepairPage(page);
   if (txn.done) {
@@ -885,8 +881,7 @@ void DsmEngine::ReclaimDeadPeers(PageNum page) {
       SetResident(leaf, i, n, PageAccess::kNone);
       leaf.sharers[i] &= ~Bit(n);
       stats_.pages_reclaimed.Add(1);
-      loop_->Trace(TraceCategory::kFault, "dsm_reclaim",
-                   "dead=" + std::to_string(n) + " page=" + std::to_string(page));
+      loop_->Trace(TraceCategory::kFault, "dsm_reclaim", "dead=", n, " page=", page);
     }
   }
 }
@@ -986,9 +981,8 @@ void DsmEngine::FinishTransaction(PageNum page) {
 }
 
 void DsmEngine::CompleteFault(PageNum page, const Transaction& txn) {
-  loop_->Trace(TraceCategory::kDsm, "fault_resolved",
-               "node=" + std::to_string(txn.requester) + " page=" + std::to_string(page) +
-                   " latency_us=" + std::to_string(ToMicros(loop_->now() - txn.start_time)));
+  loop_->Trace(TraceCategory::kDsm, "fault_resolved", "node=", txn.requester, " page=", page,
+               " latency_us=", ToMicros(loop_->now() - txn.start_time));
   stats_.fault_latency_ns.Record(static_cast<double>(loop_->now() - txn.start_time));
   if (txn.done) {
     txn.done();
@@ -1215,9 +1209,8 @@ void DsmEngine::RunWriteProtocol(PageNum page, Transaction txn) {
                 // retry path reconciles the self-invalidated old owner
                 // (RepairPage re-homes a page whose owning copy is gone).
                 stats_.write_aborts.Add(txp->requester);
-                loop_->Trace(TraceCategory::kFault, "dsm_write_abort",
-                             "node=" + std::to_string(txp->requester) +
-                                 " page=" + std::to_string(page));
+                loop_->Trace(TraceCategory::kFault, "dsm_write_abort", "node=",
+                             txp->requester, " page=", page);
                 HandleTxnSendFailure(page, std::move(*txp));
               });
     return;
@@ -1261,8 +1254,8 @@ void DsmEngine::RunWriteProtocol(PageNum page, Transaction txn) {
     }
     ctx->aborted = true;
     stats_.write_aborts.Add(ctx->txn.requester);
-    loop_->Trace(TraceCategory::kFault, "dsm_write_abort",
-                 "node=" + std::to_string(ctx->txn.requester) + " page=" + std::to_string(page));
+    loop_->Trace(TraceCategory::kFault, "dsm_write_abort", "node=", ctx->txn.requester,
+                 " page=", page);
     HandleTxnSendFailure(page, std::move(ctx->txn));
   };
 

@@ -141,9 +141,8 @@ void RpcLayer::CallWithRetry(NodeId src, NodeId dst, MsgKind kind, uint64_t byte
               s.abandon_counter->Add(src);
             }
             if (s.trace_abandon != nullptr) {
-              NodeLoop(src)->Trace(TraceCategory::kFault, s.trace_abandon,
-                                   "node=" + std::to_string(src) + " " + s.token_key + "=" +
-                                       std::to_string(s.token));
+              NodeLoop(src)->Trace(TraceCategory::kFault, s.trace_abandon, "node=", src, " ",
+                                   s.token_key, "=", s.token);
             }
             if (ctx->on_abandon != nullptr) {
               ctx->on_abandon();
@@ -156,10 +155,8 @@ void RpcLayer::CallWithRetry(NodeId src, NodeId dst, MsgKind kind, uint64_t byte
             s.retry_counter->Add(src);
           }
           if (s.trace_retry != nullptr) {
-            NodeLoop(src)->Trace(TraceCategory::kFault, s.trace_retry,
-                                 "node=" + std::to_string(src) + " " + s.token_key + "=" +
-                                     std::to_string(s.token) + " attempt=" +
-                                     std::to_string(ctx->attempts));
+            NodeLoop(src)->Trace(TraceCategory::kFault, s.trace_retry, "node=", src, " ",
+                                 s.token_key, "=", s.token, " attempt=", ctx->attempts);
           }
           const int shift = std::min(ctx->attempts, s.backoff_max_shift);
           const TimeNs backoff = std::min(s.backoff_base << shift, s.backoff_cap);

@@ -113,10 +113,13 @@ class EventLoop {
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
   Tracer* tracer() const { return tracer_; }
 
-  // Convenience: record if a tracer is attached and the category enabled.
-  void Trace(uint32_t category, const char* event, std::string detail) {
+  // Records `event` if a tracer is attached and the category enabled. The
+  // detail comes as parts (numbers and C strings, see trace.h), formatted
+  // only once both checks pass: an idle trace point builds no string.
+  template <typename... Parts>
+  void Trace(uint32_t category, const char* event, const Parts&... parts) {
     if (tracer_ != nullptr && tracer_->enabled(category)) {
-      tracer_->Record(now_, category, event, std::move(detail));
+      tracer_->Record(now_, category, event, FormatTraceDetail(parts...));
     }
   }
 

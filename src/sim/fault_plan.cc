@@ -233,12 +233,12 @@ void FaultPlan::ArmNodeTransition(int32_t node, const NodeTransition& t) {
   if (t.up) {
     loop->ScheduleAt(when, [loop, stats, node] {
       stats->node_restarts.Add();
-      loop->Trace(TraceCategory::kFault, "node_restart", "node=" + std::to_string(node));
+      loop->Trace(TraceCategory::kFault, "node_restart", "node=", node);
     });
   } else {
     loop->ScheduleAt(when, [loop, stats, node] {
       stats->node_crashes.Add();
-      loop->Trace(TraceCategory::kFault, "node_crash", "node=" + std::to_string(node));
+      loop->Trace(TraceCategory::kFault, "node_crash", "node=", node);
     });
   }
 }
@@ -260,13 +260,11 @@ void FaultPlan::ArmPartition(const Partition& p) {
   const int32_t b = p.b;
   loop->ScheduleAt(std::max(p.from, loop->now()), [loop, stats, a, b] {
     stats->partitions_cut.Add();
-    loop->Trace(TraceCategory::kFault, "partition_cut",
-                "link=" + std::to_string(a) + "<->" + std::to_string(b));
+    loop->Trace(TraceCategory::kFault, "partition_cut", "link=", a, "<->", b);
   });
   loop->ScheduleAt(std::max(p.until, loop->now()), [loop, stats, a, b] {
     stats->partitions_healed.Add();
-    loop->Trace(TraceCategory::kFault, "partition_heal",
-                "link=" + std::to_string(a) + "<->" + std::to_string(b));
+    loop->Trace(TraceCategory::kFault, "partition_heal", "link=", a, "<->", b);
   });
 }
 

@@ -2,14 +2,23 @@
 //
 // A Tracer records (time, category, event, detail) tuples into a bounded
 // ring buffer. It attaches to the EventLoop so every subsystem that owns a
-// loop pointer can emit events without extra plumbing; when no tracer is
-// attached (the default), instrumentation costs one pointer test.
+// loop pointer can emit events without extra plumbing.
 //
 //   Tracer tracer;
 //   tracer.Enable(TraceCategory::kDsm | TraceCategory::kMigration);
 //   loop.set_tracer(&tracer);
 //   ... run ...
 //   tracer.Dump(stdout);
+//
+// The rule for trace points: pass the detail as parts, never as a string.
+//
+//   loop->Trace(TraceCategory::kDsm, "fault_resolved", "node=", node, " latency_us=", us);
+//
+// EventLoop::Trace formats the parts only after it has found a tracer
+// attached with the category enabled, so an idle trace point costs one
+// pointer test and builds nothing. Numbers are formatted by std::to_string,
+// C strings are copied verbatim; a std::string part does not compile, since
+// it would have been built before the check.
 
 #ifndef FRAGVISOR_SRC_SIM_TRACE_H_
 #define FRAGVISOR_SRC_SIM_TRACE_H_
@@ -17,6 +26,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/sim/time.h"
@@ -43,6 +53,26 @@ struct TraceEvent {
   const char* event = "";  // static string supplied by the instrumentation
   std::string detail;
 };
+
+// Appends one trace-detail part to `out`.
+template <typename Part>
+void AppendTracePart(std::string& out, const Part& part) {
+  if constexpr (std::is_arithmetic_v<Part>) {
+    out += std::to_string(part);
+  } else {
+    static_assert(std::is_convertible_v<const Part&, const char*>,
+                  "trace detail parts are numbers or C strings, not pre-built strings");
+    out += part;
+  }
+}
+
+// Concatenates the parts into the detail string of one TraceEvent.
+template <typename... Parts>
+std::string FormatTraceDetail(const Parts&... parts) {
+  std::string detail;
+  (AppendTracePart(detail, parts), ...);
+  return detail;
+}
 
 class Tracer {
  public:

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "src/core/fragvisor.h"
+#include "src/sim/snapshot.h"
 #include "src/sim/trace.h"
 #include "src/workload/workload.h"
 
@@ -66,8 +68,30 @@ TEST(TracerTest, CategoryNames) {
 
 TEST(TracerTest, EventLoopTraceIsNoOpWithoutTracer) {
   EventLoop loop;
+  Tracer tracer;
+  tracer.Enable(TraceCategory::kMigration);
   loop.Trace(TraceCategory::kDsm, "fault", "should not crash");
   EXPECT_EQ(loop.tracer(), nullptr);
+  EXPECT_EQ(tracer.recorded(), 0u);
+
+  // Attached, but the mask excludes the category: still nothing recorded.
+  loop.set_tracer(&tracer);
+  loop.Trace(TraceCategory::kDsm, "fault_resolved", "node=", 3, " latency_us=", 46.612);
+  EXPECT_EQ(tracer.recorded(), 0u);
+
+  // Enabled: the parts give exactly the text of the equivalent
+  // std::to_string concatenation.
+  tracer.Enable(TraceCategory::kDsm);
+  loop.Trace(TraceCategory::kDsm, "fault_resolved", "node=", 3, " page=", PageNum{1} << 40,
+             " latency_us=", 46.612, " n=", -2, " tok=", uint64_t{1} << 63);
+  const std::string want = "node=" + std::to_string(3) + " page=" +
+                           std::to_string(PageNum{1} << 40) + " latency_us=" +
+                           std::to_string(46.612) + " n=" + std::to_string(-2) + " tok=" +
+                           std::to_string(uint64_t{1} << 63);
+  ASSERT_EQ(tracer.recorded(), 1u);
+  const auto events = tracer.Snapshot();
+  EXPECT_STREQ(events[0].event, "fault_resolved");
+  EXPECT_EQ(events[0].detail, want);
 }
 
 TEST(TracerTest, DsmAndMigrationInstrumentationFires) {
@@ -94,11 +118,22 @@ TEST(TracerTest, DsmAndMigrationInstrumentationFires) {
   int faults = 0;
   int resolved = 0;
   int migration_events = 0;
+  std::string first_fault;
+  std::string first_resolved;
+  // The whole stream, byte for byte: any change to an event's time,
+  // category, name or detail text moves its hash.
+  std::string stream;
   for (const TraceEvent& ev : tracer.Snapshot()) {
+    stream += std::to_string(ev.time) + ' ' + std::to_string(ev.category) + ' ' + ev.event +
+              ' ' + ev.detail + '\n';
     if (std::string(ev.event) == "write_fault") {
-      ++faults;
+      if (faults++ == 0) {
+        first_fault = ev.detail;
+      }
     } else if (std::string(ev.event) == "fault_resolved") {
-      ++resolved;
+      if (resolved++ == 0) {
+        first_resolved = ev.detail;
+      }
     } else if (ev.category == TraceCategory::kMigration) {
       ++migration_events;
     }
@@ -106,6 +141,9 @@ TEST(TracerTest, DsmAndMigrationInstrumentationFires) {
   EXPECT_GE(faults, 1);
   EXPECT_EQ(faults, resolved);
   EXPECT_EQ(migration_events, 2);  // start + done
+  EXPECT_EQ(SnapshotHashString(stream), 3752410238887672929ull) << stream;
+  EXPECT_EQ(first_fault, "node=1 page=133760 class=guest_private");
+  EXPECT_EQ(first_resolved, "node=1 page=133760 latency_us=45.103000");
 }
 
 }  // namespace

@@ -146,6 +146,11 @@ for config in "${configs[@]}"; do
     echo "=== [$config] bench: fabric_transport (RDMA/compression/fat-tree) ==="
     "$build_dir/bench/fabric_transport" --quick \
       --out "$artifacts/BENCH_fabric_transport.json"
+    # The benchmark's own tests: BENCHMARK.json shape, metric names and units,
+    # each workload's correctness gate, and held-out-seed shape. run.py builds
+    # fvbench in Release under $CARGO_TARGET_DIR/perfbench.
+    echo "=== [$config] perfbench self-tests ==="
+    CARGO_TARGET_DIR=build-ci python3 perfbench/test_bench.py
 
     # Run-to-run determinism of the fast paths at the fvsim level: two
     # identical runs with every --dsm-* flag on must diff clean.
