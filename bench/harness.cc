@@ -60,7 +60,6 @@ TestBed MakeTestBed(const Setup& setup) {
   cc.num_nodes = std::max(cc.num_nodes, 2);
   cc.pcpus_per_node = 8;
   cc.rpc = setup.rpc;
-  cc.threads = setup.threads;
   bed.cluster = std::make_unique<Cluster>(cc);
 
   if (setup.faults.enabled()) {

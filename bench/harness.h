@@ -111,10 +111,6 @@ struct Setup {
   bool dsm_compress = false;
   FaultSpec faults;
   ReliabilitySpec reliability;
-  // threads >= 1 hosts the testbed's clock on the parallel engine (see
-  // Cluster::Config::threads); 0 keeps the legacy serial EventLoop. Either
-  // way the schedule — and every report — is byte-identical.
-  int threads = 0;
 };
 
 // A cluster plus one VM configured per `setup`. The client node (if any) is

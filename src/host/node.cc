@@ -21,18 +21,7 @@ TimeNs Node::total_busy_time() const {
 
 Cluster::Cluster(const Config& config) : costs_(config.costs) {
   FV_CHECK_GT(config.num_nodes, 0);
-  if (config.threads >= 1) {
-    // Host the cluster clock on the parallel engine. A single VM is one DSM
-    // coherence domain, so everything lives in one partition and the fabric
-    // runs in its (serial-compatible) single-loop mode — the schedule is the
-    // exact serial schedule, so reports stay byte-identical at any --threads.
-    ParallelEventLoop::Options opts;
-    opts.num_partitions = 1;
-    opts.num_threads = config.threads;
-    opts.lookahead = 1;
-    ploop_ = std::make_unique<ParallelEventLoop>(opts);
-  }
-  EventLoop* loop = ploop_ != nullptr ? ploop_->partition(0) : &loop_;
+  EventLoop* loop = &loop_;
   fabric_ = std::make_unique<Fabric>(loop, config.num_nodes, config.link);
   rpc_ = std::make_unique<RpcLayer>(loop, fabric_.get(), config.rpc);
   nodes_.reserve(static_cast<size_t>(config.num_nodes));

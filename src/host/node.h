@@ -13,7 +13,6 @@
 #include "src/net/fabric.h"
 #include "src/net/rpc.h"
 #include "src/sim/event_loop.h"
-#include "src/sim/parallel_loop.h"
 
 namespace fragvisor {
 
@@ -150,13 +149,6 @@ class Cluster {
     LinkParams link = LinkParams::InfiniBand56G();
     CostModel costs = CostModel::Default();
     RpcConfig rpc;  // messaging-layer features (coalescing/QoS), default off
-    // threads >= 1 hosts the cluster's clock on a ParallelEventLoop instead
-    // of a plain serial EventLoop. A single VM is one coherence domain, so
-    // it occupies exactly one partition (the engine clamps the worker count
-    // to the partition count); the point is that the legacy workloads run on
-    // the parallel engine's scheduling machinery with byte-identical output,
-    // and that a Cluster can attach to cluster-owned parallel infrastructure.
-    int threads = 0;
   };
 
   explicit Cluster(const Config& config);
@@ -164,8 +156,7 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  EventLoop& loop() { return ploop_ != nullptr ? *ploop_->partition(0) : loop_; }
-  ParallelEventLoop* parallel_loop() { return ploop_.get(); }
+  EventLoop& loop() { return loop_; }
   Fabric& fabric() { return *fabric_; }
   RpcLayer& rpc() { return *rpc_; }
   const CostModel& costs() const { return costs_; }
@@ -180,7 +171,6 @@ class Cluster {
 
  private:
   EventLoop loop_;
-  std::unique_ptr<ParallelEventLoop> ploop_;
   CostModel costs_;
   std::unique_ptr<Fabric> fabric_;
   std::unique_ptr<RpcLayer> rpc_;

@@ -1,17 +1,18 @@
 // Append-only fabric capture log (shredcap-style record/replay).
 //
 // With a CaptureLog attached (Fabric::SetCapture), the fabric appends one
-// record for every COMMITTED wire delivery: the instant a message's arrival
-// at its destination becomes unconditional. That is schedule time for
-// plan-less sends and datagram copies (each duplicated copy is its own
-// record), and accept/winner-commit time for the reliable channel — dropped
-// messages, suppressed duplicates, and retransmit copies the receiver will
-// discard never appear. Loopback (src == dst) never hits the wire and is not
-// captured. One corner is inherited from the reliable channel itself: a
-// parallel-mode sender that gives up after its winning copy was already
-// committed may record a delivery whose callback is withdrawn at the next
-// barrier (DESIGN.md §9's fail-after-transmit residue). The capture is still
-// deterministic — the same configuration commits the same record either way.
+// record for every COMMITTED wire delivery, on either engine, at the instant
+// the sender commits it (Fabric::CommitDelivery): a plan-less send, each
+// datagram copy (a duplicated copy is its own record), and the reliable
+// channel's winner — the first transmitted copy, the one the receiver
+// accepts. Dropped messages, suppressed duplicates, and retransmit copies
+// the receiver will discard never appear. Loopback (src == dst) never hits
+// the wire and is not captured. One corner is inherited from the reliable
+// channel itself: a sender that gives up after its winner was committed
+// keeps that winner's record although the delivery is withdrawn (exactly on
+// the serial engine, best effort on the parallel one; DESIGN.md §5's
+// fail-after-transmit corner). The capture is still deterministic — the same
+// configuration commits the same record either way.
 //
 // Records are sharded per sending node (in parallel mode a shard is written
 // only by its owner's worker, the same discipline as the fabric's stats

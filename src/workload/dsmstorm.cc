@@ -427,7 +427,7 @@ std::string Storm::Save() {
   w.U64(events_);
 
   // Virtual clocks: everything else at the drained boundary (link busy/
-  // arrival clamps, pending-slot free lists, event sequence numbers) is
+  // arrival clamps, in-flight reliable sends, event sequence numbers) is
   // provably equivalent to a fresh object's state, so the clocks are the
   // only engine state on the wire.
   w.BeginSection("storm.clocks");
@@ -711,10 +711,9 @@ std::string StormReport(const StormResult& r) {
     out += '\n';
   };
   const auto u = [](uint64_t v) { return std::to_string(v); };
-  // events_dispatched is deliberately absent: the parallel engine runs extra
-  // bookkeeping events (winner-settle markers, per-partition timers) that the
-  // serial engine doesn't, so it is worker-count-invariant but not
-  // engine-invariant.
+  // events_dispatched is deliberately absent: it is worker-count-invariant
+  // but not engine-invariant (the engines break equal-time ties differently,
+  // so one configuration can take different protocol paths on each).
   line("finish_ns=" + std::to_string(r.finish_time));
   line("digest=" + u(r.state_digest));
   line("totals local=" + u(r.totals.local_accesses) + " cache_hits=" + u(r.totals.cache_hits) +

@@ -1,14 +1,12 @@
 // Cluster substrate (tier 1): TenantLedger admission invariants, the
 // marketplace orchestrator (no oversubscription, lease-revocation isolation
 // across tenants, full drain), worker-count and snapshot-resume
-// byte-identity, the --vms 1 degenerate case, and the legacy single-VM
-// workloads hosted on the parallel engine (Cluster::Config::threads).
+// byte-identity, and the --vms 1 degenerate case.
 
 #include <gtest/gtest.h>
 
 #include <string>
 
-#include "bench/harness.h"
 #include "src/cluster/marketplace.h"
 #include "src/host/node.h"
 
@@ -183,25 +181,6 @@ TEST(MarketplaceTest, PoliciesDivergeOnFragmentedClusters) {
   // Both drain fully; the placements differ (that is the whole ablation).
   EXPECT_EQ(bff.vms_completed, harvest.vms_completed);
   EXPECT_NE(MarketplaceReport(bff), MarketplaceReport(harvest));
-}
-
-// The legacy single-VM workloads hosted on the parallel engine
-// (Cluster::Config::threads >= 1) follow the exact serial schedule: same
-// completion time, same fault counters, at any worker count.
-TEST(ClusterThreadsTest, LegacyWorkloadByteIdenticalOnParallelEngine) {
-  bench::Setup serial;
-  serial.vcpus = 4;
-  bench::Setup parallel = serial;
-  parallel.threads = 2;
-
-  const NpbProfile profile = ScaleNpb(NpbByName("IS"), 0.1);
-  double serial_faults = 0.0;
-  double parallel_faults = 0.0;
-  const TimeNs serial_time = bench::RunNpbMultiProcess(serial, profile, 1, &serial_faults);
-  const TimeNs parallel_time =
-      bench::RunNpbMultiProcess(parallel, profile, 1, &parallel_faults);
-  EXPECT_EQ(parallel_time, serial_time);
-  EXPECT_EQ(parallel_faults, serial_faults);
 }
 
 }  // namespace

@@ -242,7 +242,6 @@ Setup MakeSetup(const Args& args) {
   if (args.Has("rpc-qos")) {
     setup.rpc.qos.enabled = true;
   }
-  setup.threads = args.GetInt("threads", 0);
   setup.dsm_prefetch = args.GetInt("dsm-prefetch", 0);
   if (args.Has("dsm-hints")) {
     setup.dsm_owner_hints = true;
@@ -1082,9 +1081,7 @@ int List() {
   std::printf("         --partial-recovery (surgical lender-death recovery)\n");
   std::printf("         --ckpt-ms T --heartbeat-ms T\n");
   std::printf("leases:  --lease-ms T [--lease-renew-ms T] (lease borrowed resources)\n");
-  std::printf("threads: --threads N on npb/lemp/faas hosts the testbed clock on the\n");
-  std::printf("         parallel engine (byte-identical output); on storm/cluster it is\n");
-  std::printf("         the parallel core's worker count\n\n");
+  std::printf("threads: --threads N on storm/cluster is the parallel core's worker count\n\n");
   std::printf("NPB benchmarks:");
   for (const NpbProfile& p : NpbSuite()) {
     std::printf(" %s", p.name.c_str());
