@@ -19,35 +19,6 @@ const char* SystemName(System system) {
   return "unknown";
 }
 
-namespace {
-
-std::unique_ptr<FaultPlan> BuildFaultPlan(const FaultSpec& spec, int num_nodes) {
-  auto plan = std::make_unique<FaultPlan>(spec.seed);
-  if (spec.drop_prob > 0.0 || spec.dup_prob > 0.0 || spec.extra_delay_max > 0) {
-    LinkFaultProfile profile;
-    profile.drop_prob = spec.drop_prob;
-    profile.dup_prob = spec.dup_prob;
-    profile.extra_delay_max = spec.extra_delay_max;
-    plan->SetDefaultLinkFaults(profile);
-  }
-  for (const FaultSpec::NodeEvent& e : spec.crashes) {
-    FV_CHECK_GE(e.node, 0);
-    FV_CHECK_LT(e.node, num_nodes);
-    plan->CrashNode(e.node, e.at);
-  }
-  for (const FaultSpec::NodeEvent& e : spec.restarts) {
-    FV_CHECK_GE(e.node, 0);
-    FV_CHECK_LT(e.node, num_nodes);
-    plan->RestartNode(e.node, e.at);
-  }
-  for (const FaultSpec::Partition& p : spec.partitions) {
-    plan->PartitionLink(p.a, p.b, p.from, p.until);
-  }
-  return plan;
-}
-
-}  // namespace
-
 TestBed MakeTestBed(const Setup& setup) {
   FV_CHECK_GT(setup.vcpus, 0);
   TestBed bed;
@@ -63,7 +34,8 @@ TestBed MakeTestBed(const Setup& setup) {
   bed.cluster = std::make_unique<Cluster>(cc);
 
   if (setup.faults.enabled()) {
-    bed.fault_plan = BuildFaultPlan(setup.faults, cc.num_nodes);
+    bed.fault_plan = std::make_unique<FaultPlan>(setup.faults.seed);
+    bed.fault_plan->Schedule(setup.faults.schedule, cc.num_nodes);
     bed.cluster->fabric().AttachFaultPlan(bed.fault_plan.get());
   }
 

@@ -40,31 +40,13 @@ const char* SystemName(System system);
 // into a seeded FaultPlan attached to the fabric. Everything defaults off, so
 // existing benches are untouched (no plan is attached at all).
 struct FaultSpec {
-  uint64_t seed = 1;            // FaultPlan RNG seed (link-fault draws)
-  double drop_prob = 0.0;       // per-message drop probability, every link
-  double dup_prob = 0.0;        // per-message duplication probability
-  TimeNs extra_delay_max = 0;   // uniform extra delivery jitter in [0, max]
-  struct NodeEvent {
-    NodeId node = kInvalidNode;
-    TimeNs at = 0;
-  };
-  std::vector<NodeEvent> crashes;
-  std::vector<NodeEvent> restarts;
-  struct Partition {
-    NodeId a = kInvalidNode;
-    NodeId b = kInvalidNode;
-    TimeNs from = 0;
-    TimeNs until = 0;
-  };
-  std::vector<Partition> partitions;
+  uint64_t seed = 1;  // FaultPlan RNG seed (one stream for every link draw)
+  FaultSchedule schedule;
   // Attach a FaultPlan even if no faults are requested (the empty-plan
   // bit-identity guard exercises exactly this).
   bool attach_empty = false;
 
-  bool enabled() const {
-    return attach_empty || drop_prob > 0.0 || dup_prob > 0.0 || extra_delay_max > 0 ||
-           !crashes.empty() || !restarts.empty() || !partitions.empty();
-  }
+  bool enabled() const { return attach_empty || schedule.any(); }
 };
 
 // Reliability stack for a bench run: heartbeat health monitoring,

@@ -35,28 +35,6 @@ int SampleVcpus(Rng& rng, int max_vcpus) {
 
 }  // namespace
 
-const char* ArrivalKindName(ArrivalKind kind) {
-  switch (kind) {
-    case ArrivalKind::kPoisson: return "poisson";
-    case ArrivalKind::kDiurnal: return "diurnal";
-    case ArrivalKind::kFlash: return "flash";
-  }
-  return "?";
-}
-
-bool ParseArrivalKind(const std::string& s, ArrivalKind* out) {
-  if (s == "poisson") {
-    *out = ArrivalKind::kPoisson;
-  } else if (s == "diurnal") {
-    *out = ArrivalKind::kDiurnal;
-  } else if (s == "flash") {
-    *out = ArrivalKind::kFlash;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 std::vector<VmArrival> GenerateArrivalTrace(const ArrivalTraceOptions& opts) {
   FV_CHECK_GT(opts.vms, 0);
   FV_CHECK_GT(opts.span, 0);

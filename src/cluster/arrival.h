@@ -17,6 +17,7 @@
 #ifndef FRAGVISOR_SRC_CLUSTER_ARRIVAL_H_
 #define FRAGVISOR_SRC_CLUSTER_ARRIVAL_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -32,9 +33,12 @@ enum class ArrivalKind : uint8_t {
   kFlash = 2,
 };
 
-const char* ArrivalKindName(ArrivalKind kind);
-// Parses "poisson" / "diurnal" / "flash"; returns false on anything else.
-bool ParseArrivalKind(const std::string& s, ArrivalKind* out);
+// Names by ArrivalKind value; also the "trace" option's spellings.
+inline constexpr std::array<const char*, 3> kArrivalKindNames = {"poisson", "diurnal", "flash"};
+
+inline const char* ArrivalKindName(ArrivalKind kind) {
+  return kArrivalKindNames[static_cast<size_t>(kind)];
+}
 
 struct VmArrival {
   uint64_t vm = 0;           // tenant id, 1-based, dense

@@ -23,7 +23,7 @@ uint64_t Mix(uint64_t x) {
 // probe run is itself deterministic, so so is the derived schedule.
 TimeNs ProbeHorizon(const MarketplaceOptions& base) {
   MarketplaceOptions clean = base;
-  clean.faults = MarketplaceFaultOptions{};
+  clean.faults = FaultSchedule{};
   const MarketplaceResult r = RunMarketplace(clean, 1);
   FV_CHECK_GT(r.finish_time, 0);
   return r.finish_time;
@@ -40,14 +40,15 @@ const char* ChaosModeName(ChaosMode mode) {
   return "?";
 }
 
-MarketplaceFaultOptions MakeChaosFaults(const MarketplaceOptions& base, ChaosMode mode,
-                                        uint64_t seed) {
+MarketplaceOptions MakeChaosRun(const MarketplaceOptions& base, ChaosMode mode, uint64_t seed) {
   const TimeNs horizon = ProbeHorizon(base);
   const int n = base.num_nodes;
   FV_CHECK_GE(n, 2);
-  MarketplaceFaultOptions f;
-  f.seed = Mix(seed ^ (static_cast<uint64_t>(mode) << 32));
-  const uint64_t r0 = Mix(f.seed);
+  MarketplaceOptions run = base;
+  run.fault_seed = Mix(seed ^ (static_cast<uint64_t>(mode) << 32));
+  FaultSchedule& f = run.faults;
+  f = FaultSchedule{};
+  const uint64_t r0 = Mix(run.fault_seed);
   const uint64_t r1 = Mix(r0);
   const uint64_t r2 = Mix(r1);
   switch (mode) {
@@ -69,13 +70,13 @@ MarketplaceFaultOptions MakeChaosFaults(const MarketplaceOptions& base, ChaosMod
       break;
     }
     case ChaosMode::kJitter: {
-      f.drop_prob = 0.02;
-      f.dup_prob = 0.01;
-      f.extra_delay_max = Micros(3);
+      f.link.drop_prob = 0.02;
+      f.link.dup_prob = 0.01;
+      f.link.extra_delay_max = Micros(3);
       break;
     }
   }
-  return f;
+  return run;
 }
 
 std::vector<std::string> CheckClusterInvariants(const MarketplaceOptions& opts,
@@ -163,8 +164,7 @@ ChaosCampaignResult RunChaosCampaign(const ChaosCampaignOptions& opts) {
   for (const ChaosMode mode : modes) {
     for (int i = 0; i < opts.seeds; ++i) {
       const uint64_t seed = opts.seed0 + static_cast<uint64_t>(i);
-      MarketplaceOptions run_opts = opts.base;
-      run_opts.faults = MakeChaosFaults(opts.base, mode, seed);
+      const MarketplaceOptions run_opts = MakeChaosRun(opts.base, mode, seed);
       ChaosRunResult run;
       run.mode = mode;
       run.seed = seed;

@@ -50,10 +50,10 @@ struct ChaosCampaignResult {
   uint64_t total_violations = 0;
 };
 
-// Derives the deterministic fault schedule a campaign run uses (exposed so
-// tests and the CLI can reproduce a single run).
-MarketplaceFaultOptions MakeChaosFaults(const MarketplaceOptions& base, ChaosMode mode,
-                                        uint64_t seed);
+// The options of one campaign run: `base` with the deterministic fault seed
+// and schedule that (mode, seed) derive (exposed so tests and the CLI can
+// reproduce a single run).
+MarketplaceOptions MakeChaosRun(const MarketplaceOptions& base, ChaosMode mode, uint64_t seed);
 
 // Cluster-level invariants over a finished run; returns human-readable
 // violation strings (empty = pass):

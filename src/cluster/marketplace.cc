@@ -13,6 +13,7 @@
 #include "src/host/health_monitor.h"
 #include "src/host/node.h"
 #include "src/sim/check.h"
+#include "src/sim/options_text.h"
 #include "src/sim/rng.h"
 #include "src/sim/snapshot.h"
 #include "src/sim/state_io.h"
@@ -383,33 +384,9 @@ Marketplace::Marketplace(const MarketplaceOptions& opts, int threads, bool arm_p
   if (faulty_) {
     // Wide tokens carry two node ids in 12 bits each.
     FV_CHECK_LE(opts.num_nodes, 4096);
-    plan_ = std::make_unique<FaultPlan>(SplitMix(opts.faults.seed ^ 0xc1a05ull));
+    plan_ = std::make_unique<FaultPlan>(SplitMix(opts.fault_seed ^ 0xc1a05ull));
     plan_->EnablePerNodeStreams(opts.num_nodes);
-    LinkFaultProfile profile;
-    profile.drop_prob = opts.faults.drop_prob;
-    profile.dup_prob = opts.faults.dup_prob;
-    profile.extra_delay_max = opts.faults.extra_delay_max;
-    if (profile.active()) plan_->SetDefaultLinkFaults(profile);
-    for (const MarketplaceFaultOptions::Crash& c : opts.faults.crashes) {
-      FV_CHECK_GE(c.node, 0);
-      FV_CHECK_LT(c.node, opts.num_nodes);
-      FV_CHECK_GE(c.at, 0);
-      plan_->CrashNode(c.node, c.at);
-    }
-    for (const MarketplaceFaultOptions::Restart& rs : opts.faults.restarts) {
-      FV_CHECK_GE(rs.node, 0);
-      FV_CHECK_LT(rs.node, opts.num_nodes);
-      FV_CHECK_GE(rs.at, 0);
-      plan_->RestartNode(rs.node, rs.at);
-    }
-    for (const MarketplaceFaultOptions::Partition& p : opts.faults.partitions) {
-      FV_CHECK_GE(p.a, 0);
-      FV_CHECK_LT(p.a, opts.num_nodes);
-      FV_CHECK_GE(p.b, 0);
-      FV_CHECK_LT(p.b, opts.num_nodes);
-      FV_CHECK_NE(p.a, p.b);
-      plan_->PartitionLink(p.a, p.b, p.from, p.until);
-    }
+    plan_->Schedule(opts.faults, opts.num_nodes);
     // A restored run resumes past every transition marker (wave boundaries
     // drain the whole queue, markers included), so re-arming would fire them
     // again at the resume instant and double-count the fault counters.
@@ -1730,62 +1707,10 @@ void Marketplace::RetryVmDone(uint64_t vm) {
 
 // --- Snapshot (quiesce points only: a fully drained admission wave) ---
 
+// Fingerprint of every MarketplaceOptions field: a snapshot only loads into a
+// run built from the same options.
 uint64_t Marketplace::ConfigFingerprint() const {
-  std::string s = "marketplace-v1";
-  const auto add = [&s](const std::string& v) {
-    s += '|';
-    s += v;
-  };
-  add(std::to_string(opts_.num_nodes));
-  add(std::to_string(opts_.vcpus_per_node));
-  add(std::to_string(opts_.mem_per_node));
-  add(ArrivalKindName(opts_.trace.kind));
-  add(std::to_string(opts_.trace.vms));
-  add(std::to_string(opts_.trace.span));
-  add(std::to_string(opts_.trace.seed));
-  add(std::to_string(opts_.trace.max_vcpus));
-  add(std::to_string(opts_.trace.mem_per_vcpu));
-  add(std::to_string(opts_.trace.requests_per_vcpu));
-  add(std::to_string(opts_.trace.remote_frac));
-  add(opts_.policy);
-  add(std::to_string(opts_.epochs));
-  add(std::to_string(opts_.reclamation ? 1 : 0));
-  add(std::to_string(opts_.think_ns));
-  add(std::to_string(opts_.service_ns));
-  add(std::to_string(opts_.page_service_ns));
-  add(std::to_string(opts_.qos ? 1 : 0));
-  add(std::to_string(opts_.coalesced_acks ? 1 : 0));
-  add(std::to_string(opts_.link.latency));
-  add(std::to_string(opts_.link.bytes_per_second));
-  add(std::to_string(opts_.latency_jitter_ns));
-  add(std::to_string(opts_.faults.seed));
-  add(std::to_string(opts_.faults.drop_prob));
-  add(std::to_string(opts_.faults.dup_prob));
-  add(std::to_string(opts_.faults.extra_delay_max));
-  for (const MarketplaceFaultOptions::Crash& c : opts_.faults.crashes) {
-    add(std::to_string(c.node) + "@" + std::to_string(c.at));
-  }
-  for (const MarketplaceFaultOptions::Restart& c : opts_.faults.restarts) {
-    add(std::to_string(c.node) + "@" + std::to_string(c.at));
-  }
-  for (const MarketplaceFaultOptions::Partition& p : opts_.faults.partitions) {
-    add(std::to_string(p.a) + "-" + std::to_string(p.b) + "@" + std::to_string(p.from) + "-" +
-        std::to_string(p.until));
-  }
-  add(std::to_string(opts_.failover.heartbeat_ns));
-  add(std::to_string(opts_.failover.fail_phi));
-  add(std::to_string(opts_.failover.phi_window));
-  add(std::to_string(opts_.failover.probe_interval_ns));
-  add(std::to_string(opts_.failover.done_retry_ns));
-  add(std::to_string(opts_.failover.done_retry_limit));
-  add(std::to_string(static_cast<int>(opts_.topology.kind)));
-  add(std::to_string(opts_.topology.pod_size));
-  add(std::to_string(opts_.topology.oversub));
-  add(std::to_string(opts_.topology.core_planes));
-  add(std::to_string(opts_.rdma_read ? 1 : 0));
-  add(std::to_string(opts_.compress ? 1 : 0));
-  add(std::to_string(opts_.compress_seed));
-  return SnapshotHashString(s);
+  return SnapshotHashString("marketplace-v2\n" + OptionsText(opts_));
 }
 
 std::string Marketplace::Save() {

@@ -41,39 +41,6 @@
 
 namespace fragvisor {
 
-// Deterministic fault schedule for a marketplace run (DESIGN.md §12). Empty
-// by default: a run with `!any()` attaches no fault plan, arms no failover
-// machinery, and is byte-identical to a pre-fault-tolerance run.
-struct MarketplaceFaultOptions {
-  uint64_t seed = 1;            // fault-plan RNG seed (per-node streams)
-  double drop_prob = 0.0;       // default-link stochastic loss
-  double dup_prob = 0.0;        // default-link duplication
-  TimeNs extra_delay_max = 0;   // default-link uniform extra queueing delay
-
-  struct Crash {
-    int node = -1;
-    TimeNs at = 0;
-  };
-  struct Restart {
-    int node = -1;
-    TimeNs at = 0;
-  };
-  struct Partition {
-    int a = -1;
-    int b = -1;
-    TimeNs from = 0;
-    TimeNs until = 0;
-  };
-  std::vector<Crash> crashes;
-  std::vector<Restart> restarts;
-  std::vector<Partition> partitions;
-
-  bool any() const {
-    return drop_prob > 0.0 || dup_prob > 0.0 || extra_delay_max > 0 || !crashes.empty() ||
-           !restarts.empty() || !partitions.empty();
-  }
-};
-
 // Orchestrator-failover tuning. Only consulted when faults are configured.
 struct MarketplaceFailoverOptions {
   TimeNs heartbeat_ns = Micros(150);      // orchestrator -> successor beats
@@ -118,9 +85,50 @@ struct MarketplaceOptions {
   bool compress = false;
   uint64_t compress_seed = 0xC0DEC0DEull;
 
-  // Fault injection + failover (inert when faults.any() is false).
-  MarketplaceFaultOptions faults;
+  // Fault injection + failover (DESIGN.md §12). Empty by default: a run with
+  // `!faults.any()` attaches no fault plan, arms no failover machinery, and
+  // is byte-identical to a pre-fault-tolerance run.
+  uint64_t fault_seed = 1;  // fault-plan RNG seed (per-node streams)
+  FaultSchedule faults;
   MarketplaceFailoverOptions failover;
+
+  // Every field's option key (src/sim/options_text.h).
+  template <typename V>
+  void Visit(V&& v) {
+    v("nodes", num_nodes);
+    v("vcpus_per_node", vcpus_per_node);
+    v("mem_gb", mem_per_node, int64_t{1} << 30);
+    v("trace", trace.kind, kArrivalKindNames);
+    v("vms", trace.vms);
+    v("span_ms", trace.span, kMillisecond);
+    v("seed", trace.seed);
+    v("max_vcpus", trace.max_vcpus);
+    v("mem_per_vcpu_mb", trace.mem_per_vcpu, int64_t{1} << 20);
+    v("requests", trace.requests_per_vcpu);
+    v("remote_frac", trace.remote_frac);
+    v("policy", policy);
+    v("epochs", epochs);
+    v("reclaim", reclamation);
+    v("think_ns", think_ns);
+    v("service_ns", service_ns);
+    v("page_service_ns", page_service_ns);
+    v("rpc_qos", qos);
+    v("rpc_coalesce", coalesced_acks);
+    link.Visit(v);
+    v("jitter_ns", latency_jitter_ns);
+    topology.Visit(v);
+    v("dsm_rdma_read", rdma_read);
+    v("dsm_compress", compress);
+    v("compress_seed", compress_seed);
+    v("fault_seed", fault_seed);
+    faults.Visit(v);
+    v("failover_heartbeat_ns", failover.heartbeat_ns);
+    v("failover_fail_phi", failover.fail_phi);
+    v("failover_phi_window", failover.phi_window);
+    v("failover_probe_interval_ns", failover.probe_interval_ns);
+    v("failover_done_retry_ns", failover.done_retry_ns);
+    v("failover_done_retry_limit", failover.done_retry_limit);
+  }
 };
 
 // Per-node marketplace counters, each owned by that node's partition.

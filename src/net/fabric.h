@@ -84,6 +84,14 @@ struct LinkParams {
   // (--dsm-rdma-read); zero and unread otherwise.
   TimeNs one_sided_setup = 0;
 
+  // Option keys (src/sim/options_text.h).
+  template <typename V>
+  void Visit(V&& v) {
+    v("link_latency_ns", latency);
+    v("link_bps", bytes_per_second);
+    v("link_one_sided_setup_ns", one_sided_setup);
+  }
+
   // 56 Gbps InfiniBand (Mellanox ConnectX-4 class): ~1.5 us one-way for small
   // messages through one switch.
   static LinkParams InfiniBand56G();
@@ -108,6 +116,16 @@ struct TopologyConfig {
   int core_planes = 4;   // independent core switch planes for ECMP spreading
 
   bool fat_tree() const { return kind == Kind::kFatTree; }
+
+  // Option keys (src/sim/options_text.h): "topology" is mesh or fat-tree.
+  template <typename V>
+  void Visit(V&& v) {
+    static constexpr std::array<const char*, 2> kKindNames = {"mesh", "fat-tree"};
+    v("topology", kind, kKindNames);
+    v("pod", pod_size);
+    v("oversub", oversub);
+    v("planes", core_planes);
+  }
 
   static TopologyConfig Mesh() { return TopologyConfig(); }
   static TopologyConfig FatTree(int pod_size, double oversub, int core_planes = 4) {

@@ -66,6 +66,26 @@ void FaultPlan::PartitionLink(int32_t a, int32_t b, TimeNs from, TimeNs until) {
   ArmPartition(p);
 }
 
+void FaultPlan::Schedule(const FaultSchedule& schedule, int num_nodes) {
+  if (schedule.link.active()) {
+    SetDefaultLinkFaults(schedule.link);
+  }
+  for (const FaultSchedule::NodeEvent& e : schedule.crashes) {
+    FV_CHECK_LT(e.node, num_nodes);
+    CrashNode(e.node, e.at);
+  }
+  for (const FaultSchedule::NodeEvent& e : schedule.restarts) {
+    FV_CHECK_LT(e.node, num_nodes);
+    RestartNode(e.node, e.at);
+  }
+  for (const FaultSchedule::Cut& c : schedule.partitions) {
+    FV_CHECK_LT(c.a, num_nodes);
+    FV_CHECK_LT(c.b, num_nodes);
+    FV_CHECK_NE(c.a, c.b);
+    PartitionLink(c.a, c.b, c.from, c.until);
+  }
+}
+
 bool FaultPlan::NodeUp(int32_t node, TimeNs now) const {
   auto it = transitions_.find(node);
   if (it == transitions_.end()) {

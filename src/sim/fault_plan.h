@@ -44,6 +44,43 @@ struct LinkFaultProfile {
   bool active() const { return drop_prob > 0.0 || dup_prob > 0.0 || extra_delay_max > 0; }
 };
 
+// A run's fault schedule: one perturbation profile for every link, plus
+// node crashes, node restarts and link partitions. Empty by default; a run
+// with `!any()` attaches no plan at all. FaultPlan::Schedule installs it.
+struct FaultSchedule {
+  struct NodeEvent {
+    int32_t node = -1;
+    TimeNs at = 0;
+  };
+  struct Cut {  // both directions between a and b during [from, until)
+    int32_t a = -1;
+    int32_t b = -1;
+    TimeNs from = 0;
+    TimeNs until = 0;
+  };
+
+  LinkFaultProfile link;
+  std::vector<NodeEvent> crashes;
+  std::vector<NodeEvent> restarts;
+  std::vector<Cut> partitions;
+
+  bool any() const {
+    return link.active() || !crashes.empty() || !restarts.empty() || !partitions.empty();
+  }
+
+  // The option keys (src/sim/options_text.h); lists are in milliseconds:
+  // fault_crash=n@ms,...  fault_partition=a-b@ms-ms,...
+  template <typename V>
+  void Visit(V&& v) {
+    v("fault_drop", link.drop_prob);
+    v("fault_dup", link.dup_prob);
+    v("fault_delay_us", link.extra_delay_max, kMicrosecond);
+    v("fault_crash", crashes);
+    v("fault_restart", restarts);
+    v("fault_partition", partitions);
+  }
+};
+
 // What happened, stamped as it happens (so two runs of the same seed can be
 // compared counter-for-counter).
 struct FaultPlanStats {
@@ -97,6 +134,12 @@ class FaultPlan {
 
   // Cuts both directions between `a` and `b` during [from, until).
   void PartitionLink(int32_t a, int32_t b, TimeNs from, TimeNs until);
+
+  // Installs `schedule` on a cluster of `num_nodes`: the link profile (when
+  // active) as the default, then crashes, restarts and partitions in list
+  // order. Every node id must be below `num_nodes`, and a partition's two
+  // ends must differ.
+  void Schedule(const FaultSchedule& schedule, int num_nodes);
 
   // --- Transport-side queries ---
 

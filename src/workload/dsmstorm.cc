@@ -9,6 +9,7 @@
 #include "src/net/capture.h"
 #include "src/sim/check.h"
 #include "src/sim/event_loop.h"
+#include "src/sim/options_text.h"
 #include "src/sim/rng.h"
 #include "src/sim/snapshot.h"
 #include "src/sim/state_io.h"
@@ -141,31 +142,13 @@ Storm::Storm(const StormOptions& opts, int threads, const StormRunConfig& cfg)
     }
   }
 
-  if (opts.faulty()) {
+  if (opts.faults.any()) {
     plan_ = std::make_unique<FaultPlan>(SplitMix(opts.seed ^ 0xfa017ull));
     // Per-node draw streams on BOTH engines: the serial engine does not need
     // them for correctness, but using one configuration everywhere keeps the
     // fault schedule a function of StormOptions alone per engine.
     plan_->EnablePerNodeStreams(opts.num_nodes);
-    if (opts.drop_prob > 0 || opts.dup_prob > 0 || opts.extra_delay_max > 0) {
-      LinkFaultProfile prof;
-      prof.drop_prob = opts.drop_prob;
-      prof.dup_prob = opts.dup_prob;
-      prof.extra_delay_max = opts.extra_delay_max;
-      plan_->SetDefaultLinkFaults(prof);
-    }
-    if (opts.crash_node >= 0) {
-      FV_CHECK_LT(opts.crash_node, opts.num_nodes);
-      plan_->CrashNode(opts.crash_node, opts.crash_at);
-      if (opts.restart_at > 0) {
-        plan_->RestartNode(opts.crash_node, opts.restart_at);
-      }
-    }
-    if (opts.partition_a >= 0) {
-      FV_CHECK_GE(opts.partition_b, 0);
-      plan_->PartitionLink(opts.partition_a, opts.partition_b, opts.partition_from,
-                           opts.partition_until);
-    }
+    plan_->Schedule(opts.faults, opts.num_nodes);
     // A restored run resumes past every transition marker (epoch boundaries
     // drain the whole queue, markers included), so re-arming would fire them
     // again at the resume instant and double-count the fault counters.
@@ -379,43 +362,10 @@ uint64_t Storm::Digest() const {
   return h;
 }
 
-// Canonical fingerprint of everything that shapes the event timeline. A
-// snapshot only loads into a run built from the same options (same build:
-// double fields go through to_string, which is stable within one binary).
+// Fingerprint of every StormOptions field: a snapshot only loads into a run
+// built from the same options.
 uint64_t Storm::ConfigFingerprint() const {
-  std::string s = "storm-v1";
-  const auto add = [&s](const std::string& v) {
-    s += '|';
-    s += v;
-  };
-  add(std::to_string(opts_.num_nodes));
-  add(std::to_string(opts_.streams_per_node));
-  add(std::to_string(opts_.accesses_per_stream));
-  add(std::to_string(opts_.pages_per_node));
-  add(std::to_string(opts_.cache_slots));
-  add(std::to_string(opts_.remote_frac));
-  add(std::to_string(opts_.write_frac));
-  add(std::to_string(opts_.think_ns));
-  add(std::to_string(opts_.seed));
-  add(std::to_string(opts_.epochs));
-  add(std::to_string(opts_.link.latency));
-  add(std::to_string(opts_.link.bytes_per_second));
-  add(std::to_string(opts_.latency_jitter_ns));
-  add(std::to_string(opts_.drop_prob));
-  add(std::to_string(opts_.dup_prob));
-  add(std::to_string(opts_.extra_delay_max));
-  add(std::to_string(opts_.crash_node));
-  add(std::to_string(opts_.crash_at));
-  add(std::to_string(opts_.restart_at));
-  add(std::to_string(opts_.partition_a));
-  add(std::to_string(opts_.partition_b));
-  add(std::to_string(opts_.partition_from));
-  add(std::to_string(opts_.partition_until));
-  add(std::to_string(static_cast<int>(opts_.topology.kind)));
-  add(std::to_string(opts_.topology.pod_size));
-  add(std::to_string(opts_.topology.oversub));
-  add(std::to_string(opts_.topology.core_planes));
-  return SnapshotHashString(s);
+  return SnapshotHashString("storm-v2\n" + OptionsText(opts_));
 }
 
 std::string Storm::Save() {

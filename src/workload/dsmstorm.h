@@ -62,22 +62,28 @@ struct StormOptions {
   // shared, oversubscribed core links on cross-pod paths.
   TopologyConfig topology;
 
-  // Fault injection (any non-zero knob attaches a FaultPlan with per-node
-  // RNG streams, on both engines).
-  double drop_prob = 0.0;
-  double dup_prob = 0.0;
-  TimeNs extra_delay_max = 0;
-  int32_t crash_node = -1;  // crash/restart this node (restart_at 0 = never)
-  TimeNs crash_at = 0;
-  TimeNs restart_at = 0;
-  int32_t partition_a = -1;  // cut this link for [partition_from, partition_until)
-  int32_t partition_b = -1;
-  TimeNs partition_from = 0;
-  TimeNs partition_until = 0;
+  // Fault injection: a schedule with any() attaches a FaultPlan with per-node
+  // RNG streams, seeded from `seed`, on both engines.
+  FaultSchedule faults;
 
-  bool faulty() const {
-    return drop_prob > 0 || dup_prob > 0 || extra_delay_max > 0 || crash_node >= 0 ||
-           partition_a >= 0;
+  // Every field's option key (src/sim/options_text.h). A new knob is its
+  // field plus one line here.
+  template <typename V>
+  void Visit(V&& v) {
+    v("nodes", num_nodes);
+    v("streams", streams_per_node);
+    v("accesses", accesses_per_stream);
+    v("pages", pages_per_node);
+    v("cache_slots", cache_slots);
+    v("remote_frac", remote_frac);
+    v("write_frac", write_frac);
+    v("think_ns", think_ns);
+    v("seed", seed);
+    v("epochs", epochs);
+    link.Visit(v);
+    v("jitter_ns", latency_jitter_ns);
+    topology.Visit(v);
+    faults.Visit(v);
   }
 };
 

@@ -26,19 +26,16 @@ TEST(ParallelDeterminismTest, StormByteIdenticalAcrossWorkerCountsSeedSweep) {
     so.pages_per_node = 24;
     so.cache_slots = 6;
     so.seed = BaseSeed() * 1000 + s;
-    so.drop_prob = 0.04;
-    so.dup_prob = 0.03;
-    so.extra_delay_max = Micros(4);
-    so.crash_node = static_cast<int32_t>((BaseSeed() + s) % so.num_nodes);
-    so.crash_at = Micros(30);
-    so.restart_at = Micros(150);
-    so.partition_a = static_cast<int32_t>(s % so.num_nodes);
-    so.partition_b = static_cast<int32_t>((s + 7) % so.num_nodes);
-    if (so.partition_a == so.partition_b) {
-      so.partition_b = (so.partition_b + 1) % so.num_nodes;
+    so.faults.link = {.drop_prob = 0.04, .dup_prob = 0.03, .extra_delay_max = Micros(4)};
+    const int32_t crash = static_cast<int32_t>((BaseSeed() + s) % so.num_nodes);
+    so.faults.crashes = {{crash, Micros(30)}};
+    so.faults.restarts = {{crash, Micros(150)}};
+    const int32_t a = static_cast<int32_t>(s % so.num_nodes);
+    int32_t b = static_cast<int32_t>((s + 7) % so.num_nodes);
+    if (a == b) {
+      b = (b + 1) % so.num_nodes;
     }
-    so.partition_from = Micros(10);
-    so.partition_until = Micros(120);
+    so.faults.partitions = {{a, b, Micros(10), Micros(120)}};
 
     const std::string ref = StormReport(RunStorm(so, 1));
     for (const int threads : {2, 4, 8}) {

@@ -268,19 +268,14 @@ TEST(ParallelStormTest, ByteIdenticalAcrossWorkerCounts) {
 
 TEST(ParallelStormTest, ByteIdenticalAcrossWorkerCountsUnderFaults) {
   StormOptions so = SmallStorm();
-  so.drop_prob = 0.03;
-  so.dup_prob = 0.02;
-  so.extra_delay_max = Micros(3);
-  so.crash_node = 5;
-  so.crash_at = Micros(40);
-  so.restart_at = Micros(120);
-  so.partition_a = 1;
-  so.partition_b = 9;
-  so.partition_from = Micros(20);
-  so.partition_until = Micros(90);
+  so.faults.link = {.drop_prob = 0.03, .dup_prob = 0.02, .extra_delay_max = Micros(3)};
+  so.faults.crashes = {{5, Micros(40)}, {11, Micros(60)}};
+  so.faults.restarts = {{5, Micros(120)}};
+  so.faults.partitions = {{1, 9, Micros(20), Micros(90)}};
   const StormResult r1 = RunStorm(so, 1);
   const std::string ref = StormReport(r1);
   EXPECT_TRUE(r1.used_fault_plan);
+  EXPECT_EQ(r1.faults.node_crashes.value(), 2u);
   EXPECT_GT(r1.faults.messages_dropped.value() + r1.faults.messages_delayed.value() +
                 r1.faults.messages_duplicated.value(),
             0u);
@@ -307,8 +302,7 @@ TEST(ParallelStormTest, SerialEngineMatchesParallelOnCommutativeConfigUnderFault
   StormOptions so = SmallStorm();
   so.cache_slots = 0;
   so.write_frac = 0.0;
-  so.drop_prob = 0.05;
-  so.extra_delay_max = Micros(2);
+  so.faults.link = {.drop_prob = 0.05, .extra_delay_max = Micros(2)};
   const std::string serial = StormReport(RunStorm(so, 0));
   const std::string parallel = StormReport(RunStorm(so, 4));
   EXPECT_EQ(serial, parallel);

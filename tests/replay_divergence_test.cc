@@ -34,12 +34,9 @@ StormOptions ReplayStorm(uint64_t seed) {
   o.cache_slots = 8;
   o.seed = seed;
   o.epochs = 2;
-  o.drop_prob = 0.02;
-  o.dup_prob = 0.01;
-  o.extra_delay_max = Micros(2);
-  o.crash_node = 4;
-  o.crash_at = Micros(200);
-  o.restart_at = Micros(500);
+  o.faults.link = {.drop_prob = 0.02, .dup_prob = 0.01, .extra_delay_max = Micros(2)};
+  o.faults.crashes = {{4, Micros(200)}};
+  o.faults.restarts = {{4, Micros(500)}};
   return o;
 }
 

@@ -31,12 +31,9 @@ StormOptions SmallStorm() {
 
 StormOptions FaultyStorm() {
   StormOptions o = SmallStorm();
-  o.drop_prob = 0.02;
-  o.dup_prob = 0.01;
-  o.extra_delay_max = Micros(3);
-  o.crash_node = 2;
-  o.crash_at = Micros(150);
-  o.restart_at = Micros(400);
+  o.faults.link = {.drop_prob = 0.02, .dup_prob = 0.01, .extra_delay_max = Micros(3)};
+  o.faults.crashes = {{2, Micros(150)}};
+  o.faults.restarts = {{2, Micros(400)}};
   return o;
 }
 

@@ -152,6 +152,10 @@ TEST(SnapshotSkew, WrongOptionsRefused) {
   other.seed += 1;
   const std::string error = ExpectLoadFails(other, snapshot);
   EXPECT_NE(error.find("StormOptions"), std::string::npos) << error;
+  // Every digit of a double counts, not only six decimals.
+  other = opts;
+  other.remote_frac += 1e-7;
+  EXPECT_NE(ExpectLoadFails(other, snapshot).find("StormOptions"), std::string::npos);
 }
 
 TEST(SnapshotSkew, WrongEngineRefused) {
@@ -283,6 +287,14 @@ TEST(SnapshotSkew, MarketplaceWrongOptionsRefused) {
             std::string::npos);
   other = opts;
   other.policy = "harvest";
+  EXPECT_NE(ExpectMarketplaceLoadFails(other, snapshot).find("MarketplaceOptions"),
+            std::string::npos);
+  other = opts;
+  other.trace.remote_frac += 1e-7;
+  EXPECT_NE(ExpectMarketplaceLoadFails(other, snapshot).find("MarketplaceOptions"),
+            std::string::npos);
+  other = opts;
+  other.link.one_sided_setup += 1;
   EXPECT_NE(ExpectMarketplaceLoadFails(other, snapshot).find("MarketplaceOptions"),
             std::string::npos);
 }

@@ -71,11 +71,13 @@ for config in "${configs[@]}"; do
     # run A records a capture and saves a snapshot at epoch 1; run B resumes
     # from the snapshot and must produce a byte-identical canonical report;
     # `fvsim replay` re-runs the recorded configuration and must commit the
-    # exact same delivery stream. Diverging captures stay in the artifacts
-    # directory for offline diffing.
+    # exact same delivery stream. The fractional-millisecond crash crosses
+    # the process boundary through the capture header and the snapshot's
+    # config fingerprint. Diverging captures stay in the artifacts directory
+    # for offline diffing.
     echo "=== [$config] fvsim snapshot + capture/replay round trip ==="
     snap_flags=(storm --nodes 12 --streams 3 --accesses 80 --epochs 3
-                --threads 2 --fault-drop 0.02 --fault-delay-us 2)
+                --threads 2 --fault-drop 0.02 --fault-delay-us 2 --fault-crash 5@0.25)
     "$build_dir/tools/fvsim" "${snap_flags[@]}" \
         --capture "$artifacts/ci_storm_$config.fvcap" \
         --snapshot-save "$artifacts/ci_storm_$config.fvsnap" --snapshot-epoch 1 \

@@ -15,21 +15,27 @@
 // `sweep` runs the systems x vCPUs grid for one NPB benchmark; each cell is
 // an independent simulation, computed on --jobs threads. Output order (and
 // every byte of it) is independent of the job count.
+//
+// Flags are "--key value", "--key=value" or a bare "--key" (value 1); the
+// next argument is the value unless it starts with "--". A '-' in a key
+// reads as '_'. storm and cluster take every key of their options struct
+// (`fvsim list` prints them with their defaults). Every command refuses a
+// malformed value or a key it does not read, before it starts.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench/harness.h"
 #include "bench/runner.h"
 #include "src/cluster/marketplace.h"
 #include "src/net/capture.h"
+#include "src/sim/options_text.h"
 #include "src/sim/trace.h"
 #include "src/workload/dsmstorm.h"
 
@@ -39,49 +45,39 @@ namespace {
 using bench::Setup;
 using bench::System;
 
-struct Args {
-  std::string command;
-  std::map<std::string, std::string> options;
-
-  std::string Get(const std::string& key, const std::string& fallback) const {
-    auto it = options.find(key);
-    return it == options.end() ? fallback : it->second;
-  }
-  int GetInt(const std::string& key, int fallback) const {
-    auto it = options.find(key);
-    return it == options.end() ? fallback : std::atoi(it->second.c_str());
-  }
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = options.find(key);
-    return it == options.end() ? fallback : std::atof(it->second.c_str());
-  }
-  bool Has(const std::string& key) const { return options.count(key) > 0; }
-};
-
-Args Parse(int argc, char** argv) {
-  Args args;
-  if (argc >= 2) {
-    args.command = argv[1];
-  }
+// argv[2..] into `kv`, by the flag rules above.
+bool ParseArgs(int argc, char** argv, KeyValues* kv) {
   for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "unexpected argument: %s\n", arg.c_str());
-      std::exit(2);
+    std::string key = argv[i];
+    if (key.rfind("--", 0) != 0) {
+      std::fprintf(stderr, "unexpected argument: %s\n", key.c_str());
+      return false;
     }
-    arg = arg.substr(2);
-    const size_t eq = arg.find('=');
+    key.erase(0, 2);
+    std::string value = "1";
+    const size_t eq = key.find('=');
     if (eq != std::string::npos) {
-      args.options[arg.substr(0, eq)] = arg.substr(eq + 1);
-    } else if (i + 1 < argc && argv[i + 1][0] != '-') {
-      args.options[arg] = std::string(argv[++i]);
-    } else {
+      value = key.substr(eq + 1);
+      key.resize(eq);
+    } else if (i + 1 < argc && std::string_view(argv[i + 1]).rfind("--", 0) != 0) {
       // Move-assign a temporary: GCC 12's -Wrestrict false-fires (PR105329)
       // on basic_string::operator=(const char*) at -O3.
-      args.options[arg] = std::string("1");
+      value = std::string(argv[++i]);
     }
+    std::replace(key.begin(), key.end(), '-', '_');
+    kv->Set(std::move(key), std::move(value));
   }
-  return args;
+  return true;
+}
+
+// Refuses a command's flags (malformed value, unread key) before it runs.
+bool CheckArgs(const KeyValues& kv) {
+  std::string error;
+  if (kv.Check(&error)) {
+    return true;
+  }
+  std::fprintf(stderr, "fvsim: %s\n", error.c_str());
+  return false;
 }
 
 // Parses "fragvisor" | "giantvm" | "overcommit[:P]" into `setup`.
@@ -102,84 +98,16 @@ bool ParseSystem(const std::string& system, Setup* setup) {
   return true;
 }
 
-std::vector<std::string> SplitList(const std::string& list) {
+std::vector<std::string> SplitList(const std::string& list, char sep = ',') {
   std::vector<std::string> items;
   for (size_t pos = 0; pos <= list.size();) {
-    const size_t comma = list.find(',', pos);
-    const size_t end = comma == std::string::npos ? list.size() : comma;
+    const size_t end = std::min(list.find(sep, pos), list.size());
     if (end > pos) {
       items.push_back(list.substr(pos, end - pos));
     }
     pos = end + 1;
   }
   return items;
-}
-
-// Topology flags, shared by the storm and cluster commands:
-//   --topology mesh|fat-tree  fabric shape (default mesh, the historical model)
-//   --pod N                   fat-tree: nodes per pod (default 8)
-//   --oversub R               fat-tree: core oversubscription ratio (default 1.0)
-//   --planes K                fat-tree: ECMP core planes (default 4)
-bool ParseTopologySpec(const Args& args, TopologyConfig* topo) {
-  const std::string kind = args.Get("topology", "mesh");
-  if (kind == "mesh") {
-    *topo = TopologyConfig::Mesh();
-  } else if (kind == "fat-tree") {
-    *topo = TopologyConfig::FatTree(args.GetInt("pod", 8), args.GetDouble("oversub", 1.0),
-                                    args.GetInt("planes", 4));
-  } else {
-    std::fprintf(stderr, "unknown --topology '%s' (mesh|fat-tree)\n", kind.c_str());
-    return false;
-  }
-  return true;
-}
-
-// Fault-injection flags, shared by every workload command:
-//   --fault-seed N        RNG seed for the plan's link-fault draws (default 1)
-//   --fault-drop P        per-message drop probability on every link
-//   --fault-dup P         per-message duplication probability
-//   --fault-delay-us U    uniform extra delivery jitter in [0, U] us
-//   --fault-crash n@ms[,n@ms...]      crash node n at t ms
-//   --fault-restart n@ms[,n@ms...]    restart node n at t ms
-//   --fault-partition a-b@ms-ms[,...] cut links a<->b during [from, until) ms
-//   --fault-empty         attach an (empty) plan even with no faults
-void ParseFaultSpec(const Args& args, Setup* setup) {
-  bench::FaultSpec& f = setup->faults;
-  f.seed = static_cast<uint64_t>(args.GetInt("fault-seed", 1));
-  f.drop_prob = args.GetDouble("fault-drop", 0.0);
-  f.dup_prob = args.GetDouble("fault-dup", 0.0);
-  f.extra_delay_max = Micros(args.GetInt("fault-delay-us", 0));
-  f.attach_empty = args.Has("fault-empty");
-  for (const std::string& item : SplitList(args.Get("fault-crash", ""))) {
-    int node = -1;
-    double ms = 0;
-    if (std::sscanf(item.c_str(), "%d@%lf", &node, &ms) != 2) {
-      std::fprintf(stderr, "bad --fault-crash entry '%s' (want n@ms)\n", item.c_str());
-      std::exit(2);
-    }
-    f.crashes.push_back({node, Millis(static_cast<TimeNs>(ms))});
-  }
-  for (const std::string& item : SplitList(args.Get("fault-restart", ""))) {
-    int node = -1;
-    double ms = 0;
-    if (std::sscanf(item.c_str(), "%d@%lf", &node, &ms) != 2) {
-      std::fprintf(stderr, "bad --fault-restart entry '%s' (want n@ms)\n", item.c_str());
-      std::exit(2);
-    }
-    f.restarts.push_back({node, Millis(static_cast<TimeNs>(ms))});
-  }
-  for (const std::string& item : SplitList(args.Get("fault-partition", ""))) {
-    int a = -1;
-    int b = -1;
-    double from_ms = 0;
-    double until_ms = 0;
-    if (std::sscanf(item.c_str(), "%d-%d@%lf-%lf", &a, &b, &from_ms, &until_ms) != 4) {
-      std::fprintf(stderr, "bad --fault-partition entry '%s' (want a-b@ms-ms)\n", item.c_str());
-      std::exit(2);
-    }
-    f.partitions.push_back({a, b, Millis(static_cast<TimeNs>(from_ms)),
-                            Millis(static_cast<TimeNs>(until_ms))});
-  }
 }
 
 // Reliability flags, shared by every workload command:
@@ -190,165 +118,61 @@ void ParseFaultSpec(const Args& args, Setup* setup) {
 //   --heartbeat-ms T      heartbeat interval (default 20 ms)
 //   --lease-ms T          lease-protect borrowed resources, T ms duration
 //   --lease-renew-ms T    lease renewal interval (default T/2)
-void ParseReliabilitySpec(const Args& args, Setup* setup) {
+void ParseReliabilitySpec(KeyValues& kv, Setup* setup) {
   bench::ReliabilitySpec& rel = setup->reliability;
-  rel.protect = args.Has("protect");
-  const std::string detector = args.Get("detector", "fixed");
+  rel.protect = kv.Get("protect", false);
+  const std::string detector = kv.Get<std::string>("detector", "fixed");
   if (detector == "phi") {
     rel.detector = FailureDetector::kPhiAccrual;
   } else if (detector != "fixed") {
     std::fprintf(stderr, "unknown --detector '%s' (phi|fixed)\n", detector.c_str());
     std::exit(2);
   }
-  rel.partial_recovery = args.Has("partial-recovery");
-  rel.checkpoint_interval = Millis(args.GetInt("ckpt-ms", 100));
-  rel.heartbeat_interval = Millis(args.GetInt("heartbeat-ms", 20));
-  if (args.Has("lease-ms")) {
+  rel.partial_recovery = kv.Get("partial_recovery", false);
+  rel.checkpoint_interval = Millis(kv.Get("ckpt_ms", 100));
+  rel.heartbeat_interval = Millis(kv.Get("heartbeat_ms", 20));
+  if (kv.Has("lease_ms")) {
     rel.leases = true;
-    const int lease_ms = args.GetInt("lease-ms", 200);
+    const int lease_ms = kv.Get("lease_ms", 200);
     rel.lease_duration = Millis(lease_ms);
-    rel.lease_renew = Millis(args.GetInt("lease-renew-ms", std::max(1, lease_ms / 2)));
+    rel.lease_renew = Millis(kv.Get("lease_renew_ms", std::max(1, lease_ms / 2)));
   }
-  if ((rel.partial_recovery || args.Has("detector")) && !rel.protect) {
+  if ((rel.partial_recovery || kv.Has("detector")) && !rel.protect) {
     std::fprintf(stderr, "--partial-recovery/--detector need --protect\n");
     std::exit(2);
   }
 }
 
-Setup MakeSetup(const Args& args) {
+// The flags of npb, lemp and faas. The fault keys are FaultSchedule's, as
+// on storm and cluster.
+Setup MakeSetup(KeyValues& kv) {
   Setup setup;
-  setup.vcpus = args.GetInt("vcpus", 4);
-  const std::string system = args.Get("system", "fragvisor");
+  kv.Read("vcpus", setup.vcpus);
+  const std::string system = kv.Get<std::string>("system", "fragvisor");
   if (!ParseSystem(system, &setup)) {
     std::fprintf(stderr, "unknown system '%s' (fragvisor|giantvm|overcommit[:P])\n",
                  system.c_str());
     std::exit(2);
   }
-  if (args.Has("vanilla-guest")) {
+  if (kv.Get("vanilla_guest", false)) {
     setup.guest = GuestKernelConfig::Vanilla();
   }
-  if (args.Has("no-multiqueue")) {
-    setup.io_multiqueue = false;
-  }
-  if (args.Has("no-bypass")) {
-    setup.io_dsm_bypass = false;
-  }
-  if (args.Has("no-contextual-dsm")) {
-    setup.contextual_dsm = false;
-  }
-  if (args.Has("rpc-coalesce")) {
-    setup.rpc.coalesced_acks = true;
-  }
-  if (args.Has("rpc-qos")) {
-    setup.rpc.qos.enabled = true;
-  }
-  setup.dsm_prefetch = args.GetInt("dsm-prefetch", 0);
-  if (args.Has("dsm-hints")) {
-    setup.dsm_owner_hints = true;
-  }
-  if (args.Has("dsm-replicate")) {
-    setup.dsm_replicate = true;
-  }
-  if (args.Has("dsm-adaptive")) {
-    setup.dsm_adaptive = true;
-  }
-  if (args.Has("dsm-rdma-read")) {
-    setup.dsm_rdma_read = true;
-  }
-  if (args.Has("dsm-compress")) {
-    setup.dsm_compress = true;
-  }
-  ParseFaultSpec(args, &setup);
-  ParseReliabilitySpec(args, &setup);
+  setup.io_multiqueue = !kv.Get("no_multiqueue", false);
+  setup.io_dsm_bypass = !kv.Get("no_bypass", false);
+  setup.contextual_dsm = !kv.Get("no_contextual_dsm", false);
+  kv.Read("rpc_coalesce", setup.rpc.coalesced_acks);
+  kv.Read("rpc_qos", setup.rpc.qos.enabled);
+  kv.Read("dsm_prefetch", setup.dsm_prefetch);
+  kv.Read("dsm_hints", setup.dsm_owner_hints);
+  kv.Read("dsm_replicate", setup.dsm_replicate);
+  kv.Read("dsm_adaptive", setup.dsm_adaptive);
+  kv.Read("dsm_rdma_read", setup.dsm_rdma_read);
+  kv.Read("dsm_compress", setup.dsm_compress);
+  kv.Read("fault_seed", setup.faults.seed);
+  kv.Read("fault_empty", setup.faults.attach_empty);
+  ReadOptions(kv, setup.faults.schedule);
+  ParseReliabilitySpec(kv, &setup);
   return setup;
-}
-
-// End-of-run traffic report: the per-kind table always prints; --msg-stats
-// additionally dumps the full JSON to the given path ("-" for stdout).
-void ReportMsgStats(const Args& args, const bench::MsgStatsReport& stats) {
-  bench::PrintMsgStats(stats);
-  if (!args.Has("msg-stats")) {
-    return;
-  }
-  const std::string path = args.Get("msg-stats", "-");
-  const std::string json = bench::MsgStatsJson(stats);
-  if (path == "-" || path == "1") {
-    std::fputs(json.c_str(), stdout);
-    return;
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write --msg-stats file '%s'\n", path.c_str());
-    std::exit(2);
-  }
-  std::fputs(json.c_str(), f);
-  std::fclose(f);
-  std::printf("msg stats written to %s\n", path.c_str());
-}
-
-int RunNpb(const Args& args) {
-  const Setup setup = MakeSetup(args);
-  const NpbProfile profile =
-      ScaleNpb(NpbByName(args.Get("bench", "CG")), args.GetDouble("scale", 0.25));
-  double faults = 0;
-  bench::FaultReport report;
-  bench::MsgStatsReport msg_stats;
-  bench::ReliabilityReport reliability;
-  bench::DsmFastPathReport fastpath;
-  const TimeNs end = bench::RunNpbMultiProcess(setup, profile,
-                                               static_cast<uint64_t>(args.GetInt("seed", 1)),
-                                               &faults, &report, &msg_stats, &reliability,
-                                               &fastpath);
-  std::printf("%s x%d on %s: %.2f ms (%.0f DSM faults/s)\n", profile.name.c_str(), setup.vcpus,
-              bench::SystemName(setup.system), ToMillis(end), faults);
-  if (setup.dsm_owner_hints || setup.dsm_replicate || setup.dsm_adaptive ||
-      setup.dsm_prefetch > 0 || setup.dsm_rdma_read || setup.dsm_compress) {
-    bench::PrintHeader("dsm fast paths");
-    bench::PrintDsmFastPathReport(fastpath);
-  }
-  if (setup.faults.enabled()) {
-    bench::PrintFaultReport(report);
-  }
-  if (setup.reliability.enabled()) {
-    bench::PrintHeader("recovery report");
-    bench::PrintReliabilityReport(reliability);
-  }
-  ReportMsgStats(args, msg_stats);
-  return 0;
-}
-
-int RunLempCmd(const Args& args) {
-  const Setup setup = MakeSetup(args);
-  LempConfig lemp;
-  lemp.num_php_workers = setup.vcpus - 1;
-  lemp.processing_time = Millis(args.GetInt("processing-ms", 100));
-  lemp.total_requests = args.GetInt("requests", 40);
-  lemp.concurrency = args.GetInt("concurrency", 10);
-  double faults = 0;
-  bench::MsgStatsReport msg_stats;
-  const double tput = bench::RunLemp(setup, lemp, &faults, &msg_stats);
-  std::printf("LEMP %d vCPUs on %s, %d ms requests: %.1f req/s (%.0f DSM faults/s)\n",
-              setup.vcpus, bench::SystemName(setup.system),
-              args.GetInt("processing-ms", 100), tput, faults);
-  ReportMsgStats(args, msg_stats);
-  return 0;
-}
-
-int RunFaasCmd(const Args& args) {
-  const Setup setup = MakeSetup(args);
-  FaasConfig faas;
-  faas.download_bytes = static_cast<uint64_t>(args.GetInt("download-mb", 4)) << 20;
-  faas.extract_bytes = static_cast<uint64_t>(args.GetInt("extract-mb", 16)) << 20;
-  faas.detect_compute = Millis(args.GetInt("detect-ms", 400));
-  bench::MsgStatsReport msg_stats;
-  const FaasPhaseStats stats = bench::RunFaas(setup, faas, nullptr, &msg_stats);
-  std::printf("OpenLambda %d workers on %s: download %.1f ms, extract %.1f ms, "
-              "detect %.1f ms, total %.1f ms\n",
-              setup.vcpus, bench::SystemName(setup.system), stats.download_ns.mean() / 1e6,
-              stats.extract_ns.mean() / 1e6, stats.detect_ns.mean() / 1e6,
-              stats.total_ns.mean() / 1e6);
-  ReportMsgStats(args, msg_stats);
-  return 0;
 }
 
 bool WriteBinaryFile(const std::string& path, const std::string& data, const char* what) {
@@ -382,145 +206,148 @@ bool ReadBinaryFile(const std::string& path, std::string* data, const char* what
   return true;
 }
 
-// The capture file's config blob: one key=value line per StormOptions field
-// plus the recording engine, so `fvsim replay` can re-run the captured
-// configuration with no flags.
-std::string StormConfigBlob(const StormOptions& so, int threads) {
-  std::string s;
-  const auto kv = [&s](const char* k, const std::string& v) {
-    s += k;
-    s += '=';
-    s += v;
-    s += '\n';
-  };
-  kv("workload", "storm");
-  kv("nodes", std::to_string(so.num_nodes));
-  kv("streams", std::to_string(so.streams_per_node));
-  kv("accesses", std::to_string(so.accesses_per_stream));
-  kv("pages", std::to_string(so.pages_per_node));
-  kv("cache_slots", std::to_string(so.cache_slots));
-  kv("remote_frac", std::to_string(so.remote_frac));
-  kv("write_frac", std::to_string(so.write_frac));
-  kv("think_ns", std::to_string(so.think_ns));
-  kv("seed", std::to_string(so.seed));
-  kv("epochs", std::to_string(so.epochs));
-  kv("link_latency_ns", std::to_string(so.link.latency));
-  kv("link_bps", std::to_string(so.link.bytes_per_second));
-  kv("jitter_ns", std::to_string(so.latency_jitter_ns));
-  kv("drop_prob", std::to_string(so.drop_prob));
-  kv("dup_prob", std::to_string(so.dup_prob));
-  kv("extra_delay_max", std::to_string(so.extra_delay_max));
-  kv("crash_node", std::to_string(so.crash_node));
-  kv("crash_at", std::to_string(so.crash_at));
-  kv("restart_at", std::to_string(so.restart_at));
-  kv("partition_a", std::to_string(so.partition_a));
-  kv("partition_b", std::to_string(so.partition_b));
-  kv("partition_from", std::to_string(so.partition_from));
-  kv("partition_until", std::to_string(so.partition_until));
-  // Topology keys (absent from pre-topology captures; the parser's defaults
-  // reconstruct the mesh those recordings ran on).
-  kv("topology", so.topology.fat_tree() ? "fat-tree" : "mesh");
-  kv("pod_size", std::to_string(so.topology.pod_size));
-  kv("oversub", std::to_string(so.topology.oversub));
-  kv("core_planes", std::to_string(so.topology.core_planes));
-  kv("threads", std::to_string(threads));
-  return s;
-}
-
-bool ParseStormConfigBlob(const std::string& blob, StormOptions* so, int* threads) {
-  for (size_t pos = 0; pos < blob.size();) {
-    const size_t nl = blob.find('\n', pos);
-    const size_t end = nl == std::string::npos ? blob.size() : nl;
-    const std::string line = blob.substr(pos, end - pos);
-    pos = end + 1;
-    if (line.empty()) {
-      continue;
-    }
-    const size_t eq = line.find('=');
-    if (eq == std::string::npos) {
-      std::fprintf(stderr, "malformed capture config line '%s'\n", line.c_str());
-      return false;
-    }
-    const std::string key = line.substr(0, eq);
-    const std::string val = line.substr(eq + 1);
-    const auto i = [&val]() { return std::atoi(val.c_str()); };
-    const auto l = [&val]() { return std::atoll(val.c_str()); };
-    const auto d = [&val]() { return std::atof(val.c_str()); };
-    if (key == "workload") {
-      if (val != "storm") {
-        std::fprintf(stderr, "capture is for workload '%s', not storm\n", val.c_str());
-        return false;
-      }
-    } else if (key == "nodes") {
-      so->num_nodes = i();
-    } else if (key == "streams") {
-      so->streams_per_node = i();
-    } else if (key == "accesses") {
-      so->accesses_per_stream = i();
-    } else if (key == "pages") {
-      so->pages_per_node = i();
-    } else if (key == "cache_slots") {
-      so->cache_slots = i();
-    } else if (key == "remote_frac") {
-      so->remote_frac = d();
-    } else if (key == "write_frac") {
-      so->write_frac = d();
-    } else if (key == "think_ns") {
-      so->think_ns = l();
-    } else if (key == "seed") {
-      so->seed = static_cast<uint64_t>(l());
-    } else if (key == "epochs") {
-      so->epochs = i();
-    } else if (key == "link_latency_ns") {
-      so->link.latency = l();
-    } else if (key == "link_bps") {
-      so->link.bytes_per_second = d();
-    } else if (key == "jitter_ns") {
-      so->latency_jitter_ns = l();
-    } else if (key == "drop_prob") {
-      so->drop_prob = d();
-    } else if (key == "dup_prob") {
-      so->dup_prob = d();
-    } else if (key == "extra_delay_max") {
-      so->extra_delay_max = l();
-    } else if (key == "crash_node") {
-      so->crash_node = i();
-    } else if (key == "crash_at") {
-      so->crash_at = l();
-    } else if (key == "restart_at") {
-      so->restart_at = l();
-    } else if (key == "partition_a") {
-      so->partition_a = i();
-    } else if (key == "partition_b") {
-      so->partition_b = i();
-    } else if (key == "partition_from") {
-      so->partition_from = l();
-    } else if (key == "partition_until") {
-      so->partition_until = l();
-    } else if (key == "topology") {
-      if (val == "fat-tree") {
-        so->topology.kind = TopologyConfig::Kind::kFatTree;
-      } else if (val == "mesh") {
-        so->topology.kind = TopologyConfig::Kind::kMesh;
-      } else {
-        std::fprintf(stderr, "unknown capture topology '%s'\n", val.c_str());
-        return false;
-      }
-    } else if (key == "pod_size") {
-      so->topology.pod_size = i();
-    } else if (key == "oversub") {
-      so->topology.oversub = d();
-    } else if (key == "core_planes") {
-      so->topology.core_planes = i();
-    } else if (key == "threads") {
-      *threads = i();
-    } else {
-      std::fprintf(stderr, "unknown capture config key '%s'\n", key.c_str());
-      return false;
-    }
+// Writes a --report or --msg-stats text to `path`; "-" (or the bare flag) is
+// stdout.
+bool WriteOutput(const std::string& path, const std::string& text, const char* what) {
+  if (path == "-" || path == "1") {
+    std::fputs(text.c_str(), stdout);
+    return true;
   }
+  if (!WriteBinaryFile(path, text, what)) {
+    return false;
+  }
+  std::printf("%s written to %s\n", what, path.c_str());
   return true;
 }
+
+// End-of-run traffic report: the per-kind table always prints; --msg-stats
+// additionally writes the full JSON.
+bool ReportMsgStats(const std::string& path, const bench::MsgStatsReport& stats) {
+  bench::PrintMsgStats(stats);
+  return path.empty() || WriteOutput(path, bench::MsgStatsJson(stats), "msg stats");
+}
+
+int RunNpb(KeyValues& kv) {
+  const Setup setup = MakeSetup(kv);
+  const NpbProfile profile =
+      ScaleNpb(NpbByName(kv.Get<std::string>("bench", "CG")), kv.Get("scale", 0.25));
+  const uint64_t seed = kv.Get<uint64_t>("seed", 1);
+  const std::string msg_stats_path = kv.Get<std::string>("msg_stats", "");
+  if (!CheckArgs(kv)) {
+    return 2;
+  }
+  double faults = 0;
+  bench::FaultReport report;
+  bench::MsgStatsReport msg_stats;
+  bench::ReliabilityReport reliability;
+  bench::DsmFastPathReport fastpath;
+  const TimeNs end = bench::RunNpbMultiProcess(setup, profile, seed, &faults, &report,
+                                               &msg_stats, &reliability, &fastpath);
+  std::printf("%s x%d on %s: %.2f ms (%.0f DSM faults/s)\n", profile.name.c_str(), setup.vcpus,
+              bench::SystemName(setup.system), ToMillis(end), faults);
+  if (setup.dsm_owner_hints || setup.dsm_replicate || setup.dsm_adaptive ||
+      setup.dsm_prefetch > 0 || setup.dsm_rdma_read || setup.dsm_compress) {
+    bench::PrintHeader("dsm fast paths");
+    bench::PrintDsmFastPathReport(fastpath);
+  }
+  if (setup.faults.enabled()) {
+    bench::PrintFaultReport(report);
+  }
+  if (setup.reliability.enabled()) {
+    bench::PrintHeader("recovery report");
+    bench::PrintReliabilityReport(reliability);
+  }
+  return ReportMsgStats(msg_stats_path, msg_stats) ? 0 : 2;
+}
+
+int RunLempCmd(KeyValues& kv) {
+  const Setup setup = MakeSetup(kv);
+  LempConfig lemp;
+  lemp.num_php_workers = setup.vcpus - 1;
+  const int processing_ms = kv.Get("processing_ms", 100);
+  lemp.processing_time = Millis(processing_ms);
+  lemp.total_requests = kv.Get("requests", 40);
+  lemp.concurrency = kv.Get("concurrency", 10);
+  const std::string msg_stats_path = kv.Get<std::string>("msg_stats", "");
+  if (!CheckArgs(kv)) {
+    return 2;
+  }
+  double faults = 0;
+  bench::MsgStatsReport msg_stats;
+  const double tput = bench::RunLemp(setup, lemp, &faults, &msg_stats);
+  std::printf("LEMP %d vCPUs on %s, %d ms requests: %.1f req/s (%.0f DSM faults/s)\n",
+              setup.vcpus, bench::SystemName(setup.system), processing_ms, tput, faults);
+  return ReportMsgStats(msg_stats_path, msg_stats) ? 0 : 2;
+}
+
+int RunFaasCmd(KeyValues& kv) {
+  const Setup setup = MakeSetup(kv);
+  FaasConfig faas;
+  faas.download_bytes = kv.Get<uint64_t>("download_mb", 4) << 20;
+  faas.extract_bytes = kv.Get<uint64_t>("extract_mb", 16) << 20;
+  faas.detect_compute = Millis(kv.Get("detect_ms", 400));
+  const std::string msg_stats_path = kv.Get<std::string>("msg_stats", "");
+  if (!CheckArgs(kv)) {
+    return 2;
+  }
+  bench::MsgStatsReport msg_stats;
+  const FaasPhaseStats stats = bench::RunFaas(setup, faas, nullptr, &msg_stats);
+  std::printf("OpenLambda %d workers on %s: download %.1f ms, extract %.1f ms, "
+              "detect %.1f ms, total %.1f ms\n",
+              setup.vcpus, bench::SystemName(setup.system), stats.download_ns.mean() / 1e6,
+              stats.extract_ns.mean() / 1e6, stats.detect_ns.mean() / 1e6,
+              stats.total_ns.mean() / 1e6);
+  return ReportMsgStats(msg_stats_path, msg_stats) ? 0 : 2;
+}
+
+// The snapshot flags of storm and cluster, read into a RunStormEx or
+// RunMarketplaceEx config: --snapshot-save F [--snapshot-epoch K] saves once K
+// epochs (default: all) have completed; --snapshot-load F resumes from F.
+struct SnapshotFiles {
+  std::string save_path;
+  std::string load_path;
+  std::string out;
+  std::string in;
+  std::string error;
+
+  template <typename RunConfig>
+  void Read(KeyValues& kv, int epochs, RunConfig* cfg) {
+    save_path = kv.Get<std::string>("snapshot_save", "");
+    load_path = kv.Get<std::string>("snapshot_load", "");
+    if (!save_path.empty()) {
+      cfg->snapshot_out = &out;
+      cfg->snapshot_epoch = kv.Get("snapshot_epoch", epochs);
+    }
+    if (!load_path.empty()) {
+      cfg->snapshot_in = &in;
+    }
+    cfg->error = &error;
+  }
+
+  // Before the run: reads the snapshot to resume from.
+  bool Load() { return load_path.empty() || ReadBinaryFile(load_path, &in, "snapshot"); }
+
+  // After the run: reports a refused load, or writes the saved snapshot.
+  bool Finish(const char* epoch_name, int epoch) {
+    if (!error.empty()) {
+      std::fprintf(stderr, "snapshot load failed: %s\n", error.c_str());
+      return false;
+    }
+    if (save_path.empty()) {
+      return true;
+    }
+    if (out.empty()) {
+      std::fprintf(stderr, "no snapshot was taken (is --snapshot-epoch within --epochs?)\n");
+      return false;
+    }
+    if (!WriteBinaryFile(save_path, out, "snapshot")) {
+      return false;
+    }
+    std::printf("snapshot (%zu bytes, %s %d) written to %s\n", out.size(), epoch_name, epoch,
+                save_path.c_str());
+    return true;
+  }
+};
 
 // DSM coherence storm on the parallel simulation core.
 //
@@ -536,82 +363,20 @@ bool ParseStormConfigBlob(const std::string& blob, StormOptions* so, int* thread
 //   fvsim storm --epochs 4 --snapshot-load s.fvsnap        # resumes epoch 3
 //   fvsim storm --capture run.fvcap                        # record deliveries
 //   fvsim replay --capture run.fvcap                       # re-run and diff
-int RunStormCmd(const Args& args) {
+int RunStormCmd(KeyValues& kv) {
   StormOptions so;
-  so.num_nodes = args.GetInt("nodes", 64);
-  so.streams_per_node = args.GetInt("streams", 4);
-  so.accesses_per_stream = args.GetInt("accesses", 200);
-  so.pages_per_node = args.GetInt("pages", 64);
-  so.cache_slots = args.GetInt("cache-slots", 16);
-  so.remote_frac = args.GetDouble("remote-frac", 0.7);
-  so.write_frac = args.GetDouble("write-frac", 0.3);
-  so.think_ns = Nanos(args.GetInt("think-ns", 2000));
-  so.seed = static_cast<uint64_t>(args.GetInt("seed", 1));
-  so.latency_jitter_ns = Nanos(args.GetInt("jitter-ns", 700));
-  if (!ParseTopologySpec(args, &so.topology)) {
+  ReadOptions(kv, so);
+  const int threads = kv.Get("threads", 0);
+  const std::string capture_path = kv.Get<std::string>("capture", "");
+  const std::string report_path = kv.Get<std::string>("report", "");
+  StormRunConfig cfg;
+  SnapshotFiles snapshot;
+  snapshot.Read(kv, so.epochs, &cfg);
+  if (!CheckArgs(kv) || !snapshot.Load()) {
     return 2;
   }
-  so.drop_prob = args.GetDouble("fault-drop", 0.0);
-  so.dup_prob = args.GetDouble("fault-dup", 0.0);
-  so.extra_delay_max = Micros(args.GetInt("fault-delay-us", 0));
-  const std::string crash = args.Get("fault-crash", "");
-  if (!crash.empty()) {
-    int node = -1;
-    double ms = 0;
-    if (std::sscanf(crash.c_str(), "%d@%lf", &node, &ms) != 2) {
-      std::fprintf(stderr, "bad --fault-crash entry '%s' (want n@ms)\n", crash.c_str());
-      return 2;
-    }
-    so.crash_node = node;
-    so.crash_at = Millis(static_cast<TimeNs>(ms));
-  }
-  const std::string restart = args.Get("fault-restart", "");
-  if (!restart.empty()) {
-    int node = -1;
-    double ms = 0;
-    if (std::sscanf(restart.c_str(), "%d@%lf", &node, &ms) != 2 || node != so.crash_node) {
-      std::fprintf(stderr, "bad --fault-restart entry '%s' (want n@ms, same n as crash)\n",
-                   restart.c_str());
-      return 2;
-    }
-    so.restart_at = Millis(static_cast<TimeNs>(ms));
-  }
-  const std::string cut = args.Get("fault-partition", "");
-  if (!cut.empty()) {
-    int a = -1;
-    int b = -1;
-    double from_ms = 0;
-    double until_ms = 0;
-    if (std::sscanf(cut.c_str(), "%d-%d@%lf-%lf", &a, &b, &from_ms, &until_ms) != 4) {
-      std::fprintf(stderr, "bad --fault-partition entry '%s' (want a-b@ms-ms)\n", cut.c_str());
-      return 2;
-    }
-    so.partition_a = a;
-    so.partition_b = b;
-    so.partition_from = Millis(static_cast<TimeNs>(from_ms));
-    so.partition_until = Millis(static_cast<TimeNs>(until_ms));
-  }
-
-  so.epochs = args.GetInt("epochs", 1);
-
-  const int threads = args.GetInt("threads", 0);
-  StormRunConfig cfg;
-  std::string snapshot_out;
-  if (args.Has("snapshot-save")) {
-    cfg.snapshot_out = &snapshot_out;
-    cfg.snapshot_epoch = args.GetInt("snapshot-epoch", so.epochs);
-  }
-  std::string snapshot_in;
-  if (args.Has("snapshot-load")) {
-    if (!ReadBinaryFile(args.Get("snapshot-load", ""), &snapshot_in, "snapshot")) {
-      return 2;
-    }
-    cfg.snapshot_in = &snapshot_in;
-  }
-  std::string load_error;
-  cfg.error = &load_error;
   std::unique_ptr<CaptureLog> capture;
-  if (args.Has("capture")) {
+  if (!capture_path.empty()) {
     capture = std::make_unique<CaptureLog>(so.num_nodes);
     cfg.capture = capture.get();
   }
@@ -620,29 +385,20 @@ int RunStormCmd(const Args& args) {
   const StormResult r = RunStormEx(so, threads, cfg);
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-  if (!load_error.empty()) {
-    std::fprintf(stderr, "snapshot load failed: %s\n", load_error.c_str());
+  if (!snapshot.Finish("epoch", cfg.snapshot_epoch)) {
     return 2;
   }
-  if (cfg.snapshot_out != nullptr) {
-    if (snapshot_out.empty()) {
-      std::fprintf(stderr, "no snapshot was taken (is --snapshot-epoch within --epochs?)\n");
-      return 2;
-    }
-    if (!WriteBinaryFile(args.Get("snapshot-save", ""), snapshot_out, "snapshot")) {
-      return 2;
-    }
-    std::printf("snapshot (%zu bytes, epoch %d) written to %s\n", snapshot_out.size(),
-                cfg.snapshot_epoch, args.Get("snapshot-save", "").c_str());
-  }
   if (capture != nullptr) {
-    const std::string data = capture->Serialize(StormConfigBlob(so, threads));
-    if (!WriteBinaryFile(args.Get("capture", ""), data, "capture")) {
+    // The header is the options text plus the engine, so `fvsim replay` can
+    // re-run the captured configuration with no flags.
+    const std::string data =
+        capture->Serialize(OptionsText(so) + "threads=" + std::to_string(threads) + "\n");
+    if (!WriteBinaryFile(capture_path, data, "capture")) {
       return 2;
     }
     std::printf("capture (%llu deliveries, %zu bytes) written to %s\n",
                 static_cast<unsigned long long>(capture->total_records()), data.size(),
-                args.Get("capture", "").c_str());
+                capture_path.c_str());
   }
 
   std::printf("storm %d nodes x %d streams on %s: %.2f ms simulated, %llu events "
@@ -706,21 +462,8 @@ int RunStormCmd(const Args& args) {
                 static_cast<unsigned long long>(c.cross_cancels_late));
   }
 
-  if (args.Has("report")) {
-    const std::string path = args.Get("report", "-");
-    const std::string report = StormReport(r);
-    if (path == "-" || path == "1") {
-      std::fputs(report.c_str(), stdout);
-    } else {
-      std::FILE* f = std::fopen(path.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "cannot write --report file '%s'\n", path.c_str());
-        return 2;
-      }
-      std::fputs(report.c_str(), f);
-      std::fclose(f);
-      std::printf("storm report written to %s\n", path.c_str());
-    }
+  if (!report_path.empty() && !WriteOutput(report_path, StormReport(r), "storm report")) {
+    return 2;
   }
   return 0;
 }
@@ -734,110 +477,24 @@ int RunStormCmd(const Args& args) {
 // for a fixed configuration. Snapshots follow the storm command's shape:
 //   fvsim cluster --epochs 2 --snapshot-save s.fvsnap --snapshot-epoch 1
 //   fvsim cluster --epochs 2 --snapshot-load s.fvsnap
-int RunClusterCmd(const Args& args) {
+int RunClusterCmd(KeyValues& kv) {
   MarketplaceOptions mo;
-  mo.num_nodes = args.GetInt("nodes", 64);
-  mo.vcpus_per_node = args.GetInt("vcpus-per-node", 8);
-  mo.mem_per_node = static_cast<uint64_t>(args.GetInt("mem-gb", 32)) << 30;
-  mo.trace.vms = args.GetInt("vms", 100);
-  if (!ParseArrivalKind(args.Get("trace", "poisson"), &mo.trace.kind)) {
-    std::fprintf(stderr, "unknown --trace '%s' (poisson|diurnal|flash)\n",
-                 args.Get("trace", "poisson").c_str());
-    return 2;
-  }
-  mo.trace.span = Millis(args.GetInt("span-ms", 20));
-  mo.trace.seed = static_cast<uint64_t>(args.GetInt("seed", 1));
-  mo.trace.max_vcpus = args.GetInt("max-vcpus", 8);
-  mo.trace.mem_per_vcpu = static_cast<uint64_t>(args.GetInt("mem-per-vcpu-mb", 1024)) << 20;
-  mo.trace.requests_per_vcpu = static_cast<uint64_t>(args.GetInt("requests", 2000));
-  mo.trace.remote_frac = args.GetDouble("remote-frac", 0.35);
-  mo.policy = args.Get("policy", "fragbff");
-  mo.epochs = args.GetInt("epochs", 1);
-  mo.reclamation = !args.Has("no-reclaim");
-  mo.think_ns = Nanos(args.GetInt("think-ns", 1000));
-  mo.service_ns = Nanos(args.GetInt("service-ns", 4000));
-  mo.page_service_ns = Nanos(args.GetInt("page-service-ns", 2000));
-  mo.qos = args.Has("rpc-qos");
-  mo.coalesced_acks = args.Has("rpc-coalesce");
-  mo.latency_jitter_ns = Nanos(args.GetInt("jitter-ns", 700));
-  if (!ParseTopologySpec(args, &mo.topology)) {
-    return 2;
-  }
-  mo.rdma_read = args.Has("dsm-rdma-read");
-  mo.compress = args.Has("dsm-compress");
-
-  // Fault injection + failover (DESIGN.md §12): stochastic link faults plus
-  // scheduled crash/restart/partition transitions.
-  mo.faults.seed = static_cast<uint64_t>(args.GetInt("fault-seed", 1));
-  mo.faults.drop_prob = args.GetDouble("fault-drop", 0.0);
-  mo.faults.dup_prob = args.GetDouble("fault-dup", 0.0);
-  mo.faults.extra_delay_max = Micros(args.GetInt("fault-jitter-us", 0));
-  for (const std::string& entry : SplitList(args.Get("fault-crash", ""))) {
-    int node = -1;
-    double ms = 0;
-    if (std::sscanf(entry.c_str(), "%d@%lf", &node, &ms) != 2) {
-      std::fprintf(stderr, "bad --fault-crash entry '%s' (want n@ms)\n", entry.c_str());
-      return 2;
-    }
-    mo.faults.crashes.push_back({node, Millis(static_cast<TimeNs>(ms))});
-  }
-  for (const std::string& entry : SplitList(args.Get("fault-restart", ""))) {
-    int node = -1;
-    double ms = 0;
-    if (std::sscanf(entry.c_str(), "%d@%lf", &node, &ms) != 2) {
-      std::fprintf(stderr, "bad --fault-restart entry '%s' (want n@ms)\n", entry.c_str());
-      return 2;
-    }
-    mo.faults.restarts.push_back({node, Millis(static_cast<TimeNs>(ms))});
-  }
-  for (const std::string& entry : SplitList(args.Get("fault-partition", ""))) {
-    int a = -1;
-    int b = -1;
-    double from_ms = 0;
-    double until_ms = 0;
-    if (std::sscanf(entry.c_str(), "%d-%d@%lf-%lf", &a, &b, &from_ms, &until_ms) != 4) {
-      std::fprintf(stderr, "bad --fault-partition entry '%s' (want a-b@ms-ms)\n", entry.c_str());
-      return 2;
-    }
-    mo.faults.partitions.push_back({a, b, Millis(static_cast<TimeNs>(from_ms)),
-                                    Millis(static_cast<TimeNs>(until_ms))});
-  }
-  const int threads = args.GetInt("threads", 1);
-
+  ReadOptions(kv, mo);
+  const int threads = kv.Get("threads", 1);
+  const std::string report_path = kv.Get<std::string>("report", "");
   MarketplaceRunConfig cfg;
-  std::string snapshot_out;
-  if (args.Has("snapshot-save")) {
-    cfg.snapshot_out = &snapshot_out;
-    cfg.snapshot_epoch = args.GetInt("snapshot-epoch", mo.epochs);
+  SnapshotFiles snapshot;
+  snapshot.Read(kv, mo.epochs, &cfg);
+  if (!CheckArgs(kv) || !snapshot.Load()) {
+    return 2;
   }
-  std::string snapshot_in;
-  if (args.Has("snapshot-load")) {
-    if (!ReadBinaryFile(args.Get("snapshot-load", ""), &snapshot_in, "snapshot")) {
-      return 2;
-    }
-    cfg.snapshot_in = &snapshot_in;
-  }
-  std::string load_error;
-  cfg.error = &load_error;
 
   const auto wall_start = std::chrono::steady_clock::now();
   const MarketplaceResult r = RunMarketplaceEx(mo, threads, cfg);
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-  if (!load_error.empty()) {
-    std::fprintf(stderr, "snapshot load failed: %s\n", load_error.c_str());
+  if (!snapshot.Finish("wave", cfg.snapshot_epoch)) {
     return 2;
-  }
-  if (cfg.snapshot_out != nullptr) {
-    if (snapshot_out.empty()) {
-      std::fprintf(stderr, "no snapshot was taken (is --snapshot-epoch within --epochs?)\n");
-      return 2;
-    }
-    if (!WriteBinaryFile(args.Get("snapshot-save", ""), snapshot_out, "snapshot")) {
-      return 2;
-    }
-    std::printf("snapshot (%zu bytes, wave %d) written to %s\n", snapshot_out.size(),
-                cfg.snapshot_epoch, args.Get("snapshot-save", "").c_str());
   }
 
   std::printf("cluster %d nodes x %d vms (%s, %s): %.2f ms simulated, %llu events "
@@ -909,21 +566,8 @@ int RunClusterCmd(const Args& args) {
     }
   }
 
-  if (args.Has("report")) {
-    const std::string path = args.Get("report", "-");
-    const std::string report = MarketplaceReport(r);
-    if (path == "-" || path == "1") {
-      std::fputs(report.c_str(), stdout);
-    } else {
-      std::FILE* f = std::fopen(path.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "cannot write --report file '%s'\n", path.c_str());
-        return 2;
-      }
-      std::fputs(report.c_str(), f);
-      std::fclose(f);
-      std::printf("cluster report written to %s\n", path.c_str());
-    }
+  if (!report_path.empty() && !WriteOutput(report_path, MarketplaceReport(r), "cluster report")) {
+    return 2;
   }
   return 0;
 }
@@ -938,8 +582,12 @@ int RunClusterCmd(const Args& args) {
 // --threads overrides the recorded worker count — legal because the capture
 // order is worker-count-invariant; the engine KIND still comes from the
 // recording (0 stays serial, >=1 stays parallel).
-int RunReplayCmd(const Args& args) {
-  const std::string path = args.Get("capture", "");
+int RunReplayCmd(KeyValues& kv) {
+  const std::string path = kv.Get<std::string>("capture", "");
+  const int threads_flag = kv.Get("threads", -1);
+  if (!CheckArgs(kv)) {
+    return 2;
+  }
   if (path.empty()) {
     std::fprintf(stderr, "replay needs --capture FILE\n");
     return 2;
@@ -951,16 +599,21 @@ int RunReplayCmd(const Args& args) {
   std::string blob;
   std::vector<CaptureRecord> expected;
   std::string error;
-  if (!CaptureLog::Deserialize(data, &blob, &expected, &error)) {
+  KeyValues header;
+  StormOptions so;
+  int recorded_threads = 0;
+  bool ok = CaptureLog::Deserialize(data, &blob, &expected, &error) &&
+            KeyValues::FromText(blob, &header, &error);
+  if (ok) {
+    header.Read("threads", recorded_threads);
+    ReadOptions(header, so);
+    ok = header.Check(&error);
+  }
+  if (!ok) {
     std::fprintf(stderr, "cannot load capture '%s': %s\n", path.c_str(), error.c_str());
     return 2;
   }
-  StormOptions so;
-  int recorded_threads = 0;
-  if (!ParseStormConfigBlob(blob, &so, &recorded_threads)) {
-    return 2;
-  }
-  int threads = args.GetInt("threads", recorded_threads);
+  const int threads = threads_flag >= 0 ? threads_flag : recorded_threads;
   if ((threads > 0) != (recorded_threads > 0)) {
     std::fprintf(stderr, "capture was recorded on the %s engine; --threads must stay %s\n",
                  recorded_threads > 0 ? "parallel" : "serial",
@@ -991,29 +644,24 @@ int RunReplayCmd(const Args& args) {
   return 1;
 }
 
-int RunSweep(const Args& args) {
-  const NpbProfile profile =
-      ScaleNpb(NpbByName(args.Get("bench", "CG")), args.GetDouble("scale", 0.25));
-  const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 1));
-  const int vcpus_min = args.GetInt("vcpus-min", 2);
-  const int vcpus_max = args.GetInt("vcpus-max", 4);
-
-  std::vector<std::string> systems;
-  std::string list = args.Get("systems", "fragvisor,giantvm,overcommit:1,overcommit:2");
-  for (size_t pos = 0; pos <= list.size();) {
-    const size_t comma = list.find(',', pos);
-    const size_t end = comma == std::string::npos ? list.size() : comma;
-    if (end > pos) {
-      systems.push_back(list.substr(pos, end - pos));
-    }
-    pos = end + 1;
+int RunSweep(KeyValues& kv) {
+  const double scale = kv.Get("scale", 0.25);
+  const NpbProfile profile = ScaleNpb(NpbByName(kv.Get<std::string>("bench", "CG")), scale);
+  const uint64_t seed = kv.Get<uint64_t>("seed", 1);
+  const int vcpus_min = kv.Get("vcpus_min", 2);
+  const int vcpus_max = kv.Get("vcpus_max", 4);
+  const std::vector<std::string> systems =
+      SplitList(kv.Get<std::string>("systems", "fragvisor,giantvm,overcommit:1,overcommit:2"));
+  const int jobs = kv.Get("jobs", 1);
+  if (!CheckArgs(kv)) {
+    return 2;
   }
 
-  std::printf("%s sweep (scale %.2f, seed %llu)\n", profile.name.c_str(),
-              args.GetDouble("scale", 0.25), static_cast<unsigned long long>(seed));
+  std::printf("%s sweep (scale %.2f, seed %llu)\n", profile.name.c_str(), scale,
+              static_cast<unsigned long long>(seed));
   bench::PrintRow({"system", "vCPUs", "time(ms)", "faults/s"}, 14);
 
-  bench::ParallelRunner runner(args.GetInt("jobs", 1));
+  bench::ParallelRunner runner(jobs);
   for (const std::string& system : systems) {
     Setup base;
     if (!ParseSystem(system, &base)) {
@@ -1043,23 +691,9 @@ int List() {
   std::printf("  faas  --system <sys> --vcpus N [--detect-ms T] [--download-mb M]\n");
   std::printf("  sweep --bench <name> [--systems a,b,...] [--vcpus-min N] [--vcpus-max N]\n");
   std::printf("        [--scale F] [--seed N] [--jobs N]\n");
-  std::printf("  storm [--threads N] [--nodes N] [--streams N] [--accesses N] [--pages N]\n");
-  std::printf("        [--cache-slots N] [--remote-frac F] [--write-frac F] [--think-ns T]\n");
-  std::printf("        [--jitter-ns T] [--seed N] [--epochs N] [--report] [fault flags]\n");
-  std::printf("        [--topology mesh|fat-tree --pod N --oversub R --planes K]\n");
-  std::printf("        [--snapshot-save F --snapshot-epoch K] [--snapshot-load F]\n");
-  std::printf("        [--capture F]\n");
-  std::printf("  cluster [--nodes N] [--vms M] [--trace poisson|diurnal|flash] [--threads N]\n");
-  std::printf("        [--policy fragbff|harvest] [--epochs N] [--seed N] [--span-ms T]\n");
-  std::printf("        [--vcpus-per-node N] [--mem-gb G] [--max-vcpus N] [--requests N]\n");
-  std::printf("        [--mem-per-vcpu-mb M] [--remote-frac F] [--no-reclaim] [--rpc-qos]\n");
-  std::printf("        [--rpc-coalesce] [--jitter-ns T] [--report [PATH]]\n");
-  std::printf("        [--topology mesh|fat-tree --pod N --oversub R --planes K]\n");
-  std::printf("        [--dsm-rdma-read] [--dsm-compress]\n");
-  std::printf("        [--snapshot-save F --snapshot-epoch K] [--snapshot-load F]\n");
-  std::printf("        [--fault-seed N] [--fault-drop P] [--fault-dup P] [--fault-jitter-us U]\n");
-  std::printf("        [--fault-crash n@ms,...] [--fault-restart n@ms,...]\n");
-  std::printf("        [--fault-partition a-b@ms-ms,...]\n");
+  std::printf("  storm   [--threads N] [--report [PATH]] [--capture F] [--KEY VALUE ...]\n");
+  std::printf("  cluster [--threads N] [--report [PATH]] [--KEY VALUE ...]\n");
+  std::printf("          both: [--snapshot-save F --snapshot-epoch K] [--snapshot-load F]\n");
   std::printf("  replay --capture F [--threads N]\n");
   std::printf("  list\n\n");
   std::printf("systems: fragvisor | giantvm | overcommit[:pcpus]\n");
@@ -1076,12 +710,23 @@ int List() {
   std::printf("faults:  --fault-seed N --fault-drop P --fault-dup P --fault-delay-us U\n");
   std::printf("         --fault-crash n@ms[,..] --fault-restart n@ms[,..]\n");
   std::printf("         --fault-partition a-b@ms-ms[,..] --fault-empty\n");
+  std::printf("         (storm and cluster: see their fault_* keys below)\n");
   std::printf("protect: --protect (heartbeats + checkpoint/restart; npb only)\n");
   std::printf("         --detector phi|fixed (gray-failure-aware vs miss counter)\n");
   std::printf("         --partial-recovery (surgical lender-death recovery)\n");
   std::printf("         --ckpt-ms T --heartbeat-ms T\n");
   std::printf("leases:  --lease-ms T [--lease-renew-ms T] (lease borrowed resources)\n");
   std::printf("threads: --threads N on storm/cluster is the parallel core's worker count\n\n");
+  // The options text of a default run: every key with its default value.
+  std::printf("storm keys (--KEY VALUE, or \"KEY\": VALUE in a scenario), defaults:\n");
+  for (const std::string& line : SplitList(OptionsText(StormOptions{}), '\n')) {
+    std::printf("  %s\n", line.c_str());
+  }
+  std::printf("cluster keys, defaults:\n");
+  for (const std::string& line : SplitList(OptionsText(MarketplaceOptions{}), '\n')) {
+    std::printf("  %s\n", line.c_str());
+  }
+
   std::printf("NPB benchmarks:");
   for (const NpbProfile& p : NpbSuite()) {
     std::printf(" %s", p.name.c_str());
@@ -1095,32 +740,36 @@ int List() {
 }
 
 int Main(int argc, char** argv) {
-  const Args args = Parse(argc, argv);
-  if (args.command == "npb") {
-    return RunNpb(args);
+  const std::string command = argc >= 2 ? argv[1] : "";
+  KeyValues kv;
+  if (!ParseArgs(argc, argv, &kv)) {
+    return 2;
   }
-  if (args.command == "lemp") {
-    return RunLempCmd(args);
+  if (command == "npb") {
+    return RunNpb(kv);
   }
-  if (args.command == "faas") {
-    return RunFaasCmd(args);
+  if (command == "lemp") {
+    return RunLempCmd(kv);
   }
-  if (args.command == "storm") {
-    return RunStormCmd(args);
+  if (command == "faas") {
+    return RunFaasCmd(kv);
   }
-  if (args.command == "cluster") {
-    return RunClusterCmd(args);
+  if (command == "storm") {
+    return RunStormCmd(kv);
   }
-  if (args.command == "replay") {
-    return RunReplayCmd(args);
+  if (command == "cluster") {
+    return RunClusterCmd(kv);
   }
-  if (args.command == "sweep") {
-    return RunSweep(args);
+  if (command == "replay") {
+    return RunReplayCmd(kv);
   }
-  if (args.command == "list" || args.command.empty()) {
-    return List();
+  if (command == "sweep") {
+    return RunSweep(kv);
   }
-  std::fprintf(stderr, "unknown command '%s'; try 'fvsim list'\n", args.command.c_str());
+  if (command == "list" || command.empty()) {
+    return CheckArgs(kv) ? List() : 2;
+  }
+  std::fprintf(stderr, "unknown command '%s'; try 'fvsim list'\n", command.c_str());
   return 2;
 }
 

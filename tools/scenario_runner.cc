@@ -8,9 +8,7 @@
 //     "expect": "0x1234abcd5678ef90" }
 //
 // Kinds:
-//   storm  — RunStorm over StormOptions keys; report = StormReport().
-//            Topology keys "topology" (mesh|fat-tree), "pod", "oversub",
-//            "planes" select the interconnect (default mesh).
+//   storm  — RunStorm over StormOptions; report = StormReport().
 //            Optional cross-checks: "compare_threads" re-runs at another
 //            worker count and requires byte-equal reports; "verify_resume"
 //            snapshots at epoch 1, resumes in-process, and requires the
@@ -22,15 +20,14 @@
 //   npb    — one NPB multi-process harness run; keys bench/scale/vcpus/seed.
 //            Report = end time + integer fault counters.
 //   cluster — the multi-tenant marketplace (cluster orchestrator, DESIGN.md
-//            §11) over MarketplaceOptions keys; report = MarketplaceReport().
-//            Takes the storm topology keys plus "rdma_read" / "compress"
-//            (the DSM transport fast paths).
+//            §11) over MarketplaceOptions; report = MarketplaceReport().
 //            Supports the same "compare_threads" / "verify_resume"
-//            cross-checks as storm. Fault keys (times in µs) arm the chaos
-//            machinery: fault_seed/fault_drop/fault_dup/fault_jitter_us,
-//            fault_crash_node+fault_crash_at_us (and a fault_crash2_* slot),
-//            fault_restart_node+fault_restart_at_us, and
-//            fault_cut_a/fault_cut_b/fault_cut_from_us/fault_cut_to_us.
+//            cross-checks as storm.
+//
+// storm and cluster scenarios take every key of their options struct, with
+// the spelling and units of fvsim's flags ("cache_slots", "span_ms",
+// "fault_crash": "3@0.15", ...; `fvsim list` prints them all), plus
+// "threads" (the worker count; storm's 0 is the serial engine).
 //
 // Usage:
 //   scenario_runner FILE...          run, compare to "expect", exit 0/1
@@ -43,14 +40,13 @@
 #include <cctype>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "bench/harness.h"
 #include "src/cluster/marketplace.h"
 #include "src/sim/fault_plan.h"
+#include "src/sim/options_text.h"
 #include "src/sim/snapshot.h"
 #include "src/workload/dsmstorm.h"
 #include "src/workload/goldentrace.h"
@@ -64,8 +60,7 @@ namespace {
 // Arrays and nesting are rejected — scenarios are deliberately flat so the
 // format stays greppable and diffable.
 
-bool ParseFlatJson(const std::string& text, std::map<std::string, std::string>* out,
-                   std::string* error) {
+bool ParseFlatJson(const std::string& text, KeyValues* out, std::string* error) {
   size_t i = 0;
   const auto skip = [&]() {
     while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i]))) {
@@ -134,9 +129,10 @@ bool ParseFlatJson(const std::string& text, std::map<std::string, std::string>* 
         return fail("unsupported value '" + value + "' (scenarios are flat scalars)");
       }
     }
-    if (!out->emplace(key, value).second) {
+    if (out->Has(key)) {
       return fail("duplicate key '" + key + "'");
     }
+    out->Set(key, value);
     skip();
     if (i < text.size() && text[i] == ',') {
       ++i;
@@ -154,120 +150,17 @@ bool ParseFlatJson(const std::string& text, std::map<std::string, std::string>* 
   }
 }
 
-class Params {
- public:
-  explicit Params(std::map<std::string, std::string> kv) : kv_(std::move(kv)) {}
-
-  std::string Str(const std::string& key, const std::string& def) const {
-    const auto it = kv_.find(key);
-    if (it != kv_.end()) {
-      used_.push_back(key);
-    }
-    return it == kv_.end() ? def : it->second;
-  }
-  int64_t Int(const std::string& key, int64_t def) const {
-    const auto it = kv_.find(key);
-    if (it == kv_.end()) {
-      return def;
-    }
-    used_.push_back(key);
-    return std::atoll(it->second.c_str());
-  }
-  double Dbl(const std::string& key, double def) const {
-    const auto it = kv_.find(key);
-    if (it == kv_.end()) {
-      return def;
-    }
-    used_.push_back(key);
-    return std::atof(it->second.c_str());
-  }
-  bool Bool(const std::string& key, bool def) const {
-    const auto it = kv_.find(key);
-    if (it == kv_.end()) {
-      return def;
-    }
-    used_.push_back(key);
-    return it->second == "true" || it->second == "1";
-  }
-  bool Has(const std::string& key) const { return kv_.count(key) != 0; }
-
-  // A typoed key would silently pin the default configuration; refuse it.
-  bool CheckAllUsed(std::string* error) const {
-    for (const auto& [key, value] : kv_) {
-      (void)value;
-      bool used = false;
-      for (const auto& u : used_) {
-        if (u == key) {
-          used = true;
-          break;
-        }
-      }
-      if (!used) {
-        *error = "unknown key '" + key + "'";
-        return false;
-      }
-    }
-    return true;
-  }
-
- private:
-  std::map<std::string, std::string> kv_;
-  mutable std::vector<std::string> used_;
-};
-
 // --- Scenario kinds -------------------------------------------------------
 
-// Shared topology keys for storm/cluster scenarios: "topology" (mesh or
-// fat-tree), "pod", "oversub", "planes". Absent keys keep the mesh default,
-// so every pre-existing pinned scenario is untouched.
-bool ParseTopologyParams(const Params& p, TopologyConfig* topo, std::string* error) {
-  const std::string kind = p.Str("topology", "mesh");
-  if (kind == "mesh") {
-    topo->kind = TopologyConfig::Kind::kMesh;
-  } else if (kind == "fat-tree") {
-    topo->kind = TopologyConfig::Kind::kFatTree;
-  } else {
-    *error = "unknown topology '" + kind + "' (mesh or fat-tree)";
-    return false;
-  }
-  topo->pod_size = static_cast<int>(p.Int("pod", topo->pod_size));
-  topo->oversub = p.Dbl("oversub", topo->oversub);
-  topo->core_planes = static_cast<int>(p.Int("planes", topo->core_planes));
-  return true;
-}
-
-bool RunStormScenario(const Params& p, std::string* report, std::string* error) {
+bool RunStormScenario(KeyValues& p, std::string* report, std::string* error) {
   StormOptions so;
-  so.num_nodes = static_cast<int>(p.Int("nodes", so.num_nodes));
-  so.streams_per_node = static_cast<int>(p.Int("streams", so.streams_per_node));
-  so.accesses_per_stream = static_cast<int>(p.Int("accesses", so.accesses_per_stream));
-  so.pages_per_node = static_cast<int>(p.Int("pages", so.pages_per_node));
-  so.cache_slots = static_cast<int>(p.Int("cache_slots", so.cache_slots));
-  so.remote_frac = p.Dbl("remote_frac", so.remote_frac);
-  so.write_frac = p.Dbl("write_frac", so.write_frac);
-  so.think_ns = p.Int("think_ns", so.think_ns);
-  so.seed = static_cast<uint64_t>(p.Int("seed", static_cast<int64_t>(so.seed)));
-  so.epochs = static_cast<int>(p.Int("epochs", so.epochs));
-  so.latency_jitter_ns = p.Int("jitter_ns", so.latency_jitter_ns);
-  so.drop_prob = p.Dbl("drop_prob", so.drop_prob);
-  so.dup_prob = p.Dbl("dup_prob", so.dup_prob);
-  so.extra_delay_max = p.Int("extra_delay_max_ns", so.extra_delay_max);
-  so.crash_node = static_cast<int32_t>(p.Int("crash_node", so.crash_node));
-  so.crash_at = p.Int("crash_at_ns", so.crash_at);
-  so.restart_at = p.Int("restart_at_ns", so.restart_at);
-  so.partition_a = static_cast<int32_t>(p.Int("partition_a", so.partition_a));
-  so.partition_b = static_cast<int32_t>(p.Int("partition_b", so.partition_b));
-  so.partition_from = p.Int("partition_from_ns", so.partition_from);
-  so.partition_until = p.Int("partition_until_ns", so.partition_until);
-  if (!ParseTopologyParams(p, &so.topology, error)) {
-    return false;
-  }
-  const int threads = static_cast<int>(p.Int("threads", 0));
+  ReadOptions(p, so);
+  const int threads = p.Get("threads", 0);
 
   *report = StormReport(RunStorm(so, threads));
 
   if (p.Has("compare_threads")) {
-    const int other = static_cast<int>(p.Int("compare_threads", 0));
+    const int other = p.Get("compare_threads", 0);
     const std::string other_report = StormReport(RunStorm(so, other));
     if (other_report != *report) {
       *error = "report at --threads " + std::to_string(threads) +
@@ -275,7 +168,7 @@ bool RunStormScenario(const Params& p, std::string* report, std::string* error) 
       return false;
     }
   }
-  if (p.Bool("verify_resume", false)) {
+  if (p.Get("verify_resume", false)) {
     std::string snapshot;
     StormRunConfig save_cfg;
     save_cfg.snapshot_out = &snapshot;
@@ -298,72 +191,15 @@ bool RunStormScenario(const Params& p, std::string* report, std::string* error) 
   return true;
 }
 
-bool RunClusterScenario(const Params& p, std::string* report, std::string* error) {
+bool RunClusterScenario(KeyValues& p, std::string* report, std::string* error) {
   MarketplaceOptions mo;
-  mo.num_nodes = static_cast<int>(p.Int("nodes", mo.num_nodes));
-  mo.vcpus_per_node = static_cast<int>(p.Int("vcpus_per_node", mo.vcpus_per_node));
-  mo.mem_per_node = static_cast<uint64_t>(p.Int(
-      "mem_gb", static_cast<int64_t>(mo.mem_per_node >> 30))) << 30;
-  const std::string trace = p.Str("trace", ArrivalKindName(mo.trace.kind));
-  if (!ParseArrivalKind(trace, &mo.trace.kind)) {
-    *error = "unknown trace kind '" + trace + "'";
-    return false;
-  }
-  mo.trace.vms = static_cast<int>(p.Int("vms", mo.trace.vms));
-  mo.trace.span = Millis(p.Int("span_ms", mo.trace.span / Millis(1)));
-  mo.trace.seed = static_cast<uint64_t>(p.Int("seed", static_cast<int64_t>(mo.trace.seed)));
-  mo.trace.max_vcpus = static_cast<int>(p.Int("max_vcpus", mo.trace.max_vcpus));
-  mo.trace.mem_per_vcpu = static_cast<uint64_t>(p.Int(
-      "mem_per_vcpu_mb", static_cast<int64_t>(mo.trace.mem_per_vcpu >> 20))) << 20;
-  mo.trace.requests_per_vcpu = static_cast<uint64_t>(
-      p.Int("requests", static_cast<int64_t>(mo.trace.requests_per_vcpu)));
-  mo.trace.remote_frac = p.Dbl("remote_frac", mo.trace.remote_frac);
-  mo.policy = p.Str("policy", mo.policy);
-  mo.epochs = static_cast<int>(p.Int("epochs", mo.epochs));
-  mo.reclamation = p.Bool("reclaim", mo.reclamation);
-  mo.think_ns = p.Int("think_ns", mo.think_ns);
-  mo.service_ns = p.Int("service_ns", mo.service_ns);
-  mo.page_service_ns = p.Int("page_service_ns", mo.page_service_ns);
-  mo.qos = p.Bool("qos", mo.qos);
-  mo.coalesced_acks = p.Bool("coalesce", mo.coalesced_acks);
-  mo.latency_jitter_ns = p.Int("jitter_ns", mo.latency_jitter_ns);
-  if (!ParseTopologyParams(p, &mo.topology, error)) {
-    return false;
-  }
-  mo.rdma_read = p.Bool("rdma_read", mo.rdma_read);
-  mo.compress = p.Bool("compress", mo.compress);
-
-  // Fault plan: flat scalar keys, times in microseconds. Two crash slots and
-  // one restart/partition slot cover the pinned chaos scenarios; richer
-  // schedules stay the domain of fvsim flags and the chaos campaign.
-  mo.faults.seed = static_cast<uint64_t>(p.Int("fault_seed", static_cast<int64_t>(mo.faults.seed)));
-  mo.faults.drop_prob = p.Dbl("fault_drop", mo.faults.drop_prob);
-  mo.faults.dup_prob = p.Dbl("fault_dup", mo.faults.dup_prob);
-  mo.faults.extra_delay_max = Micros(p.Int("fault_jitter_us", 0));
-  if (p.Has("fault_crash_node")) {
-    mo.faults.crashes.push_back({static_cast<int>(p.Int("fault_crash_node", -1)),
-                                 Micros(p.Int("fault_crash_at_us", 0))});
-  }
-  if (p.Has("fault_crash2_node")) {
-    mo.faults.crashes.push_back({static_cast<int>(p.Int("fault_crash2_node", -1)),
-                                 Micros(p.Int("fault_crash2_at_us", 0))});
-  }
-  if (p.Has("fault_restart_node")) {
-    mo.faults.restarts.push_back({static_cast<int>(p.Int("fault_restart_node", -1)),
-                                  Micros(p.Int("fault_restart_at_us", 0))});
-  }
-  if (p.Has("fault_cut_a")) {
-    mo.faults.partitions.push_back({static_cast<int>(p.Int("fault_cut_a", -1)),
-                                    static_cast<int>(p.Int("fault_cut_b", -1)),
-                                    Micros(p.Int("fault_cut_from_us", 0)),
-                                    Micros(p.Int("fault_cut_to_us", 0))});
-  }
-  const int threads = static_cast<int>(p.Int("threads", 1));
+  ReadOptions(p, mo);
+  const int threads = p.Get("threads", 1);
 
   *report = MarketplaceReport(RunMarketplace(mo, threads));
 
   if (p.Has("compare_threads")) {
-    const int other = static_cast<int>(p.Int("compare_threads", 0));
+    const int other = p.Get("compare_threads", 0);
     const std::string other_report = MarketplaceReport(RunMarketplace(mo, other));
     if (other_report != *report) {
       *error = "report at --threads " + std::to_string(threads) +
@@ -371,7 +207,7 @@ bool RunClusterScenario(const Params& p, std::string* report, std::string* error
       return false;
     }
   }
-  if (p.Bool("verify_resume", false)) {
+  if (p.Get("verify_resume", false)) {
     std::string snapshot;
     MarketplaceRunConfig save_cfg;
     save_cfg.snapshot_out = &snapshot;
@@ -394,19 +230,18 @@ bool RunClusterScenario(const Params& p, std::string* report, std::string* error
   return true;
 }
 
-bool RunGoldenScenario(const Params& p, std::string* report, std::string* error) {
-  const bool hints = p.Bool("hints", false);
-  const bool replicate = p.Bool("replicate", false);
-  const bool adaptive = p.Bool("adaptive", false);
+bool RunGoldenScenario(KeyValues& p, std::string* report, std::string* error) {
+  const bool hints = p.Get("hints", false);
+  const bool replicate = p.Get("replicate", false);
+  const bool adaptive = p.Get("adaptive", false);
   const auto mutate = [&](DsmEngine::Options& o) {
     o.owner_hints = hints;
     o.read_mostly_replication = replicate;
     o.adaptive_granularity = adaptive;
   };
   FaultPlan plan(0xFEED);
-  FaultPlan* attached = p.Bool("empty_plan", false) ? &plan : nullptr;
-  const GoldenTraceResult r =
-      RunGoldenTrace(attached, mutate, p.Bool("snapshot_roundtrip", false));
+  FaultPlan* attached = p.Get("empty_plan", false) ? &plan : nullptr;
+  const GoldenTraceResult r = RunGoldenTrace(attached, mutate, p.Get("snapshot_roundtrip", false));
   if (attached != nullptr && !plan.empty()) {
     *error = "the empty fault plan accreted entries";
     return false;
@@ -415,12 +250,12 @@ bool RunGoldenScenario(const Params& p, std::string* report, std::string* error)
   return true;
 }
 
-bool RunNpbScenario(const Params& p, std::string* report, std::string* error) {
-  const std::string name = p.Str("bench", "CG");
-  const NpbProfile profile = ScaleNpb(NpbByName(name), p.Dbl("scale", 0.1));
+bool RunNpbScenario(KeyValues& p, std::string* report, std::string* error) {
+  const std::string name = p.Get<std::string>("bench", "CG");
+  const NpbProfile profile = ScaleNpb(NpbByName(name), p.Get("scale", 0.1));
   bench::Setup setup;
-  setup.vcpus = static_cast<int>(p.Int("vcpus", 3));
-  const uint64_t seed = static_cast<uint64_t>(p.Int("seed", 1));
+  setup.vcpus = p.Get("vcpus", 3);
+  const uint64_t seed = p.Get<uint64_t>("seed", 1);
   bench::FaultReport faults;
   const TimeNs end = bench::RunNpbMultiProcess(setup, profile, seed, nullptr, &faults);
   (void)error;
@@ -478,16 +313,15 @@ int RunScenarioFile(const std::string& path, bool print_only) {
   if (!ReadFile(path, &text)) {
     return 2;
   }
-  std::map<std::string, std::string> kv;
+  KeyValues p;
   std::string error;
-  if (!ParseFlatJson(text, &kv, &error)) {
+  if (!ParseFlatJson(text, &p, &error)) {
     std::fprintf(stderr, "%s: parse error: %s\n", path.c_str(), error.c_str());
     return 2;
   }
-  Params p(std::move(kv));
-  const std::string name = p.Str("name", path);
-  const std::string kind = p.Str("kind", "");
-  const std::string expect = p.Str("expect", "");
+  const std::string name = p.Get("name", path);
+  const std::string kind = p.Get<std::string>("kind", "");
+  const std::string expect = p.Get<std::string>("expect", "");
 
   std::string report;
   bool ok = false;
@@ -503,7 +337,8 @@ int RunScenarioFile(const std::string& path, bool print_only) {
     std::fprintf(stderr, "%s: unknown kind '%s'\n", path.c_str(), kind.c_str());
     return 2;
   }
-  if (ok && !p.CheckAllUsed(&error)) {
+  // A typoed key would silently pin the default configuration; refuse it.
+  if (ok && !p.Check(&error)) {
     std::fprintf(stderr, "%s: %s\n", path.c_str(), error.c_str());
     return 2;
   }
