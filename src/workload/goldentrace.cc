@@ -12,7 +12,7 @@ namespace fragvisor {
 
 GoldenTraceResult RunGoldenTrace(FaultPlan* plan,
                                  const std::function<void(DsmEngine::Options&)>& mutate,
-                                 bool snapshot_roundtrip) {
+                                 bool snapshot_roundtrip, std::string* snapshot_out) {
   constexpr int kNodes = 4;
   constexpr PageNum kPages = 10000;
 
@@ -63,6 +63,9 @@ GoldenTraceResult RunGoldenTrace(FaultPlan* plan,
       const std::string snap = w.Finish();
       SnapshotReader r(snap);
       FV_CHECK(dsm.LoadState(&r));
+      if (snapshot_out != nullptr) {
+        *snapshot_out = snap;
+      }
     }
     if (round == 200) {
       out.reseeded = dsm.ReseedOwnedBy(1, 0);
