@@ -4,75 +4,13 @@
 
 namespace fragvisor {
 
-void SaveFabricStats(SnapshotWriter* w, const FabricStats& s) {
-  for (const Counter& c : s.messages) {
-    SaveCounter(w, c);
-  }
-  for (const Counter& c : s.bytes) {
-    SaveCounter(w, c);
-  }
-  SaveCounter(w, s.total_messages);
-  SaveCounter(w, s.total_bytes);
-}
-
-void LoadFabricStats(SnapshotReader* r, FabricStats* s) {
-  for (Counter& c : s->messages) {
-    LoadCounter(r, &c);
-  }
-  for (Counter& c : s->bytes) {
-    LoadCounter(r, &c);
-  }
-  LoadCounter(r, &s->total_messages);
-  LoadCounter(r, &s->total_bytes);
-}
-
-void SaveRetryStats(SnapshotWriter* w, const RetryStats& s) {
-  SaveNodeCounterSet(w, s.retransmits);
-  SaveNodeCounterSet(w, s.timeouts);
-  SaveNodeCounterSet(w, s.send_failures);
-  SaveNodeCounterSet(w, s.dups_suppressed);
-}
-
-void LoadRetryStats(SnapshotReader* r, RetryStats* s) {
-  LoadNodeCounterSet(r, &s->retransmits);
-  LoadNodeCounterSet(r, &s->timeouts);
-  LoadNodeCounterSet(r, &s->send_failures);
-  LoadNodeCounterSet(r, &s->dups_suppressed);
-}
-
-void SaveRpcStats(SnapshotWriter* w, const RpcStats& s) {
-  SaveCounter(w, s.calls);
-  SaveCounter(w, s.datagrams);
-  SaveCounter(w, s.call_failures);
-  SaveCounter(w, s.retries);
-  SaveCounter(w, s.abandons);
-  SaveCounter(w, s.notifies);
-  SaveCounter(w, s.multicast_rounds);
-  SaveCounter(w, s.multicast_targets);
-  SaveCounter(w, s.acks_coalesced);
-  SaveCounter(w, s.qos_deferred);
-}
-
-void LoadRpcStats(SnapshotReader* r, RpcStats* s) {
-  LoadCounter(r, &s->calls);
-  LoadCounter(r, &s->datagrams);
-  LoadCounter(r, &s->call_failures);
-  LoadCounter(r, &s->retries);
-  LoadCounter(r, &s->abandons);
-  LoadCounter(r, &s->notifies);
-  LoadCounter(r, &s->multicast_rounds);
-  LoadCounter(r, &s->multicast_targets);
-  LoadCounter(r, &s->acks_coalesced);
-  LoadCounter(r, &s->qos_deferred);
-}
-
 void SaveTransportShards(SnapshotWriter* w, Fabric* fabric, RpcLayer* rpc) {
   const int shards = fabric->parallel() ? fabric->num_nodes() : 1;
   w->U32(static_cast<uint32_t>(shards));
   for (NodeId n = 0; n < shards; ++n) {
-    SaveFabricStats(w, fabric->StatsShardForRestore(n));
-    SaveRetryStats(w, fabric->RetryShardForRestore(n));
-    SaveRpcStats(w, rpc->StatsShardForRestore(n));
+    SaveState(w, fabric->StatsShardForRestore(n));
+    SaveState(w, fabric->RetryShardForRestore(n));
+    SaveState(w, rpc->StatsShardForRestore(n));
   }
 }
 
@@ -91,9 +29,9 @@ void LoadTransportShards(SnapshotReader* r, const Fabric* fabric, TransportShard
   staged->retry.resize(shards);
   staged->rpc.resize(shards);
   for (uint32_t n = 0; r->ok() && n < shards; ++n) {
-    LoadFabricStats(r, &staged->fabric[n]);
-    LoadRetryStats(r, &staged->retry[n]);
-    LoadRpcStats(r, &staged->rpc[n]);
+    LoadState(r, &staged->fabric[n]);
+    LoadState(r, &staged->retry[n]);
+    LoadState(r, &staged->rpc[n]);
   }
 }
 
@@ -106,33 +44,13 @@ void CommitTransportShards(const TransportShards& staged, Fabric* fabric, RpcLay
   }
 }
 
-void SaveFaultPlanStats(SnapshotWriter* w, const FaultPlanStats& s) {
-  SaveCounter(w, s.messages_dropped);
-  SaveCounter(w, s.messages_duplicated);
-  SaveCounter(w, s.messages_delayed);
-  SaveCounter(w, s.node_crashes);
-  SaveCounter(w, s.node_restarts);
-  SaveCounter(w, s.partitions_cut);
-  SaveCounter(w, s.partitions_healed);
-}
-
-void LoadFaultPlanStats(SnapshotReader* r, FaultPlanStats* s) {
-  LoadCounter(r, &s->messages_dropped);
-  LoadCounter(r, &s->messages_duplicated);
-  LoadCounter(r, &s->messages_delayed);
-  LoadCounter(r, &s->node_crashes);
-  LoadCounter(r, &s->node_restarts);
-  LoadCounter(r, &s->partitions_cut);
-  LoadCounter(r, &s->partitions_healed);
-}
-
 void SaveFaultPlanState(SnapshotWriter* w, FaultPlan* plan) {
   SaveRng(w, plan->mutable_rng());
   w->U32(static_cast<uint32_t>(plan->num_node_streams()));
   for (int n = 0; n < plan->num_node_streams(); ++n) {
     SaveRng(w, plan->mutable_node_rng(n));
   }
-  SaveFaultPlanStats(w, plan->MergedStats());
+  SaveState(w, plan->MergedStats());
 }
 
 void LoadFaultPlanState(SnapshotReader* r, FaultPlan* plan) {
@@ -151,7 +69,7 @@ void LoadFaultPlanState(SnapshotReader* r, FaultPlan* plan) {
   // Merged counters land in the plan's global block; per-node shards start
   // fresh and MergedStats() sums to the same totals either way.
   FaultPlanStats staged;
-  LoadFaultPlanStats(r, &staged);
+  LoadState(r, &staged);
   if (r->ok()) {
     plan->mutable_stats() = staged;
   }

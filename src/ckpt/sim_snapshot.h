@@ -1,7 +1,7 @@
-// Snapshot serializers for the transport-layer state blocks (fabric, retry,
-// rpc, fault-plan). These compose the src/sim/state_io.h primitives into
-// whole-struct save/load pairs that workloads use to build whole-sim
-// snapshots (DESIGN.md §10).
+// Snapshot records of the transport layer (fabric, retry, rpc, fault plan)
+// that whole-sim snapshots embed (DESIGN.md §10). The stats blocks themselves
+// are saved, loaded and merged through their field lists (src/sim/state_io.h);
+// what is here is the structure around them.
 //
 // Transport stats are sharded per sending node in parallel mode, and the
 // shards ARE observable (per-node stats tables in reports), so snapshots
@@ -23,15 +23,6 @@
 
 namespace fragvisor {
 
-void SaveFabricStats(SnapshotWriter* w, const FabricStats& s);
-void LoadFabricStats(SnapshotReader* r, FabricStats* s);
-
-void SaveRetryStats(SnapshotWriter* w, const RetryStats& s);
-void LoadRetryStats(SnapshotReader* r, RetryStats* s);
-
-void SaveRpcStats(SnapshotWriter* w, const RpcStats& s);
-void LoadRpcStats(SnapshotReader* r, RpcStats* s);
-
 // Per-shard transport stats: one (fabric, retry, rpc) triple per sending
 // node in parallel mode, a single triple (the global blocks) in serial mode.
 struct TransportShards {
@@ -49,9 +40,6 @@ void SaveTransportShards(SnapshotWriter* w, Fabric* fabric, RpcLayer* rpc);
 // commit with CommitTransportShards once the whole snapshot validates.
 void LoadTransportShards(SnapshotReader* r, const Fabric* fabric, TransportShards* staged);
 void CommitTransportShards(const TransportShards& staged, Fabric* fabric, RpcLayer* rpc);
-
-void SaveFaultPlanStats(SnapshotWriter* w, const FaultPlanStats& s);
-void LoadFaultPlanStats(SnapshotReader* r, FaultPlanStats* s);
 
 // Complete replayable fault-plan state: the legacy draw stream, every
 // per-node draw stream, and the merged perturbation counters. The load side

@@ -165,6 +165,51 @@ struct NodeRt {
   std::vector<uint8_t> shadow_up;  // per-node journal view of believed_up
 };
 
+// Orchestrator outcomes, saved in mkt.orch.
+struct OrchCounters {
+  uint64_t placed_single = 0;
+  uint64_t placed_aggregate = 0;
+  uint64_t delayed = 0;
+  uint64_t reclaims = 0;
+  uint64_t vms_completed = 0;
+
+  // The field list (src/sim/state_io.h), in snapshot wire and digest order.
+  template <typename V, typename... S>
+  static constexpr void Fields(V&& v, S&... s) {
+    v(s.placed_single...);
+    v(s.placed_aggregate...);
+    v(s.delayed...);
+    v(s.reclaims...);
+    v(s.vms_completed...);
+  }
+};
+
+// Fault-tolerance outcomes, saved in mkt.fault.
+struct FailoverCounters {
+  uint64_t failovers = 0;
+  uint64_t vms_failed = 0;
+  uint64_t nodes_died = 0;
+  uint64_t lender_replacements = 0;
+  uint64_t lender_degradations = 0;
+  uint64_t journal_records = 0;
+  uint64_t late_dones = 0;
+  uint64_t shadow_divergence = 0;
+
+  // The field list (src/sim/state_io.h), in snapshot wire order. The digest
+  // mixes a pinned subset in its own order.
+  template <typename V, typename... S>
+  static constexpr void Fields(V&& v, S&... s) {
+    v(s.failovers...);
+    v(s.vms_failed...);
+    v(s.nodes_died...);
+    v(s.lender_replacements...);
+    v(s.lender_degradations...);
+    v(s.journal_records...);
+    v(s.late_dones...);
+    v(s.shadow_divergence...);
+  }
+};
+
 class Marketplace {
  public:
   Marketplace(const MarketplaceOptions& opts, int threads, bool arm_plan);
@@ -307,11 +352,7 @@ class Marketplace {
   uint64_t arrivals_pending_ = 0;
   bool beats_active_ = false;
   bool probes_active_ = false;
-  uint64_t placed_single_ = 0;
-  uint64_t placed_aggregate_ = 0;
-  uint64_t delayed_ = 0;
-  uint64_t reclaims_ = 0;
-  uint64_t vms_completed_ = 0;
+  OrchCounters orch_counts_;
   TimeSeries consolidation_;
   TimeSeries stranded_;
 
@@ -325,14 +366,7 @@ class Marketplace {
 
   // Fault-tolerance counters (orchestrator-owned; they transfer with the
   // role under the same settle-time freeze as the rest of the orch state).
-  uint64_t failovers_ = 0;
-  uint64_t vms_failed_ = 0;
-  uint64_t nodes_died_ = 0;
-  uint64_t lender_replacements_ = 0;
-  uint64_t lender_degradations_ = 0;
-  uint64_t journal_records_ = 0;
-  uint64_t late_dones_ = 0;
-  uint64_t shadow_divergence_ = 0;
+  FailoverCounters fault_counts_;
   Histogram detection_ns_;
   Histogram recovery_ns_;
 
@@ -526,7 +560,7 @@ void Marketplace::WavePrep() {
       }
     }
     FV_CHECK_NE(m, kInvalidNode);  // a wholly-dead cluster cannot make progress
-    ++failovers_;
+    ++fault_counts_.failovers;
     orch_node_ = m;
     nodes_[static_cast<size_t>(m)].orch_since = t;
     leases_->FailoverReset(m);
@@ -560,7 +594,7 @@ void Marketplace::DriverRecover(int wave) {
       }
     }
     FV_CHECK_NE(m, kInvalidNode);
-    ++failovers_;
+    ++fault_counts_.failovers;
     orch_node_ = m;
     nodes_[static_cast<size_t>(m)].orch_since = t;
     leases_->FailoverReset(m);
@@ -601,14 +635,14 @@ void Marketplace::DriverRecover(int wave) {
     if (believed_up_[static_cast<size_t>(run.home)] && run.home_done) {
       run.status = VmStatus::kDone;
       run.finished = std::max(run.home_finished, t);
-      ++vms_completed_;
+      ++orch_counts_.vms_completed;
     } else {
       run.status = VmStatus::kFailed;
       run.fail_reason = static_cast<uint8_t>(believed_up_[static_cast<size_t>(run.home)]
                                                  ? VmFailReason::kOrchLost
                                                  : VmFailReason::kHomeCrash);
       run.finished = t;
-      ++vms_failed_;
+      ++fault_counts_.vms_failed;
     }
   }
 
@@ -638,7 +672,7 @@ void Marketplace::DriverRecover(int wave) {
       run.status = VmStatus::kFailed;
       run.fail_reason = static_cast<uint8_t>(VmFailReason::kCapacity);
       run.finished = t;
-      ++vms_failed_;
+      ++fault_counts_.vms_failed;
     }
     waiting_.clear();
   }
@@ -676,7 +710,7 @@ void Marketplace::TryAdmitAll() {
     VmRun& run = vms_[vm - 1];
     if (!run.was_delayed) {
       run.was_delayed = true;
-      ++delayed_;
+      ++orch_counts_.delayed;
     }
     if (opts_.reclamation && TryReclaim()) return;  // resume on the handback
     return;  // head-of-line waits; completions re-trigger admission
@@ -748,9 +782,9 @@ bool Marketplace::TryAdmit(uint64_t vm) {
   run.started = OrchNow();
   ++running_count_;
   if (run.alloc.size() == 1) {
-    ++placed_single_;
+    ++orch_counts_.placed_single;
   } else {
-    ++placed_aggregate_;
+    ++orch_counts_.placed_aggregate;
   }
   SampleSeries();
   if (faulty_) Journal(kJrnAdmit, vm, 0);
@@ -828,7 +862,7 @@ void Marketplace::OnLeaseEvent(const Lease& lease, LeaseEvent event) {
   run.alloc.front().second += slots;
   run.span = static_cast<int>(run.alloc.size());
   run.leases.erase(std::find(run.leases.begin(), run.leases.end(), lease.id));
-  ++reclaims_;
+  ++orch_counts_.reclaims;
   reclaim_in_flight_ = false;
   pending_reclaim_lease_ = kInvalidLease;
   SampleSeries();
@@ -896,14 +930,14 @@ void Marketplace::RecoverLostLender(const Lease& lease) {
     run.alloc.emplace_back(target, slots);
     run.leases.push_back(leases_->Grant(target, home, LeaseKind::kMemory,
                                         static_cast<uint64_t>(slots), vm, Handback()));
-    ++lender_replacements_;
+    ++fault_counts_.lender_replacements;
     RpcLayer::CallOpts o;
     o.token = PackWide(kOpReplaceLender, vm, static_cast<uint64_t>(lender),
                        static_cast<uint64_t>(target));
     rpc_->Notify(orch_node_, home, MsgKind::kVcpuMigration, kCtrlBytes, std::move(o));
   } else {
     // Graceful degradation: the VM keeps running on its surviving slices.
-    ++lender_degradations_;
+    ++fault_counts_.lender_degradations;
     RpcLayer::CallOpts o;
     o.token = PackCtl(kOpDropLender, vm, static_cast<uint64_t>(lender));
     rpc_->Notify(orch_node_, home, MsgKind::kVcpuMigration, kCtrlBytes, std::move(o));
@@ -927,14 +961,14 @@ void Marketplace::OnVmDone(uint64_t vm) {
       return;
     }
     if (run.status != VmStatus::kRunning) {
-      ++late_dones_;  // completion raced a failure verdict (or a dup)
+      ++fault_counts_.late_dones;  // completion raced a failure verdict (or a dup)
       return;
     }
   }
   FV_CHECK(run.status == VmStatus::kRunning);
   run.status = VmStatus::kDone;
   run.finished = OrchNow();
-  ++vms_completed_;
+  ++orch_counts_.vms_completed;
   --running_count_;
   if (faulty_) Journal(kJrnDone, vm, 0);
   for (const LeaseId id : run.leases) {
@@ -987,7 +1021,7 @@ void Marketplace::SampleSeries() {
 void Marketplace::DeclareNodeDead(NodeId n, bool record) {
   if (takeover_active_ || !believed_up_[static_cast<size_t>(n)]) return;
   believed_up_[static_cast<size_t>(n)] = 0;
-  ++nodes_died_;
+  ++fault_counts_.nodes_died;
   const TimeNs now = OrchNow();
   if (record) {
     const TimeNs crash_t = plan_->LastCrashBefore(n, now);
@@ -1016,7 +1050,7 @@ void Marketplace::FailVm(uint64_t vm, VmFailReason reason, TimeNs now) {
   run.status = VmStatus::kFailed;
   run.fail_reason = static_cast<uint8_t>(reason);
   run.finished = now;
-  ++vms_failed_;
+  ++fault_counts_.vms_failed;
   --running_count_;
   for (const LeaseId id : run.leases) {
     if (id == pending_reclaim_lease_) {
@@ -1037,7 +1071,7 @@ void Marketplace::FailVm(uint64_t vm, VmFailReason reason, TimeNs now) {
 
 void Marketplace::Journal(uint64_t op, uint64_t vm, uint64_t arg) {
   if (successor_ == kInvalidNode) return;
-  ++journal_records_;
+  ++fault_counts_.journal_records;
   RpcLayer::CallOpts o;
   o.token = PackCtl(op, vm, arg);
   const NodeId me = orch_node_;
@@ -1217,7 +1251,7 @@ void Marketplace::StartTakeover(NodeId me, TimeNs crash_t, TimeNs epoch) {
   const TimeNs now = NodeLoop(me)->now();
   if (!NodeUpAt(me, now) || plan_->LastCrashBefore(me, now) >= epoch) return;
   NodeRt& nr = nodes_[static_cast<size_t>(me)];
-  ++failovers_;
+  ++fault_counts_.failovers;
   nr.orch_since = now;
   orch_node_ = me;
   nr.orch_view = me;
@@ -1232,18 +1266,18 @@ void Marketplace::StartTakeover(NodeId me, TimeNs crash_t, TimeNs epoch) {
   // the frozen state as ground truth.
   for (size_t i = 0; i < vms_.size(); ++i) {
     const uint8_t truth = static_cast<uint8_t>(vms_[i].status);
-    if (i < nr.shadow.size() && nr.shadow[i] != truth) ++shadow_divergence_;
+    if (i < nr.shadow.size() && nr.shadow[i] != truth) ++fault_counts_.shadow_divergence;
   }
   for (NodeId n = 0; n < opts_.num_nodes; ++n) {
     const uint8_t truth = believed_up_[static_cast<size_t>(n)];
     if (static_cast<size_t>(n) < nr.shadow_up.size() && nr.shadow_up[static_cast<size_t>(n)] != truth) {
-      ++shadow_divergence_;
+      ++fault_counts_.shadow_divergence;
     }
   }
   for (NodeId n = 0; n < opts_.num_nodes; ++n) {
     if (believed_up_[static_cast<size_t>(n)] && !plan_->NodeUp(n, now)) {
       believed_up_[static_cast<size_t>(n)] = 0;
-      ++nodes_died_;
+      ++fault_counts_.nodes_died;
     }
   }
 
@@ -1268,7 +1302,7 @@ void Marketplace::StartTakeover(NodeId me, TimeNs crash_t, TimeNs epoch) {
       if (!takeover_active_ || orch_node_ != me) return;
       if (believed_up_[static_cast<size_t>(n)]) {
         believed_up_[static_cast<size_t>(n)] = 0;
-        ++nodes_died_;
+        ++fault_counts_.nodes_died;
       }
       takeover_expect_[static_cast<size_t>(n)] = -1;
       MaybeFinishTakeover(me);
@@ -1341,14 +1375,14 @@ void Marketplace::FinishTakeover(NodeId me) {
       run.status = VmStatus::kFailed;
       run.fail_reason = static_cast<uint8_t>(VmFailReason::kHomeCrash);
       run.finished = now;
-      ++vms_failed_;
+      ++fault_counts_.vms_failed;
       continue;
     }
     if (rep[i] == 1) {
       // Finished while the orchestrator seat was empty; count it now.
       run.status = VmStatus::kDone;
       run.finished = now;
-      ++vms_completed_;
+      ++orch_counts_.vms_completed;
       continue;
     }
     // Still running: keep surviving slices, recover the rest per tenant.
@@ -1387,13 +1421,13 @@ void Marketplace::FinishTakeover(NodeId me) {
         const bool ok = ledgers_[static_cast<size_t>(target)].Reserve(vm, bytes, slots);
         FV_CHECK(ok);
         kept.emplace_back(target, slots);
-        ++lender_replacements_;
+        ++fault_counts_.lender_replacements;
         RpcLayer::CallOpts o;
         o.token = PackWide(kOpReplaceLender, vm, static_cast<uint64_t>(dead),
                            static_cast<uint64_t>(target));
         rpc_->Notify(me, run.home, MsgKind::kVcpuMigration, kCtrlBytes, std::move(o));
       } else {
-        ++lender_degradations_;
+        ++fault_counts_.lender_degradations;
         RpcLayer::CallOpts o;
         o.token = PackCtl(kOpDropLender, vm, static_cast<uint64_t>(dead));
         rpc_->Notify(me, run.home, MsgKind::kVcpuMigration, kCtrlBytes, std::move(o));
@@ -1735,26 +1769,9 @@ std::string Marketplace::Save() {
   }
 
   w.BeginSection("mkt.orch");
-  w.U64(placed_single_);
-  w.U64(placed_aggregate_);
-  w.U64(delayed_);
-  w.U64(reclaims_);
-  w.U64(vms_completed_);
+  SaveState(&w, orch_counts_);
   w.U64(leases_->next_id());
-  const LeaseStats& ls = leases_->stats();
-  SaveCounter(&w, ls.granted);
-  SaveCounter(&w, ls.renewed);
-  SaveCounter(&w, ls.expired);
-  SaveCounter(&w, ls.revoked);
-  SaveCounter(&w, ls.released);
-  SaveCounter(&w, ls.renew_failures);
-  SaveCounter(&w, ls.handbacks);
-  SaveCounter(&w, ls.requested);
-  SaveCounter(&w, ls.lost);
-  SaveCounter(&w, ls.dropped);
-  SaveCounter(&w, ls.orphaned);
-  SaveCounter(&w, ls.restored);
-  SaveCounter(&w, ls.failover_cleared);
+  SaveState(&w, leases_->stats());
 
   w.BeginSection("mkt.vms");
   for (const VmRun& run : vms_) {
@@ -1770,12 +1787,8 @@ std::string Marketplace::Save() {
 
   w.BeginSection("mkt.nodes");
   for (const NodeRt& nr : nodes_) {
-    w.U64(nr.c.local_requests);
-    w.U64(nr.c.remote_requests);
-    w.U64(nr.c.served_pages);
-    w.U64(nr.c.reclaim_moves);
-    w.U64(nr.c.request_failures);
-    SaveHistogram(&w, nr.latency);
+    SaveState(&w, nr.c);
+    SaveState(&w, nr.latency);
   }
 
   w.BeginSection("mkt.series");
@@ -1789,14 +1802,7 @@ std::string Marketplace::Save() {
 
   if (faulty_) {
     w.BeginSection("mkt.fault");
-    w.U64(failovers_);
-    w.U64(vms_failed_);
-    w.U64(nodes_died_);
-    w.U64(lender_replacements_);
-    w.U64(lender_degradations_);
-    w.U64(journal_records_);
-    w.U64(late_dones_);
-    w.U64(shadow_divergence_);
+    SaveState(&w, fault_counts_);
     w.I64(orch_node_);
     for (int n = 0; n < opts_.num_nodes; ++n) {
       w.U8(believed_up_[static_cast<size_t>(n)]);
@@ -1852,26 +1858,11 @@ bool Marketplace::Load(const std::string& data, std::string* error) {
   }
 
   if (!r.Section("mkt.orch")) return fail();
-  const uint64_t placed_single = r.U64();
-  const uint64_t placed_aggregate = r.U64();
-  const uint64_t delayed = r.U64();
-  const uint64_t reclaims = r.U64();
-  const uint64_t completed = r.U64();
+  OrchCounters staged_counts;
+  LoadState(&r, &staged_counts);
   const uint64_t lease_next = r.U64();
   LeaseStats staged_lease;
-  LoadCounter(&r, &staged_lease.granted);
-  LoadCounter(&r, &staged_lease.renewed);
-  LoadCounter(&r, &staged_lease.expired);
-  LoadCounter(&r, &staged_lease.revoked);
-  LoadCounter(&r, &staged_lease.released);
-  LoadCounter(&r, &staged_lease.renew_failures);
-  LoadCounter(&r, &staged_lease.handbacks);
-  LoadCounter(&r, &staged_lease.requested);
-  LoadCounter(&r, &staged_lease.lost);
-  LoadCounter(&r, &staged_lease.dropped);
-  LoadCounter(&r, &staged_lease.orphaned);
-  LoadCounter(&r, &staged_lease.restored);
-  LoadCounter(&r, &staged_lease.failover_cleared);
+  LoadState(&r, &staged_lease);
   if (!r.ok()) return fail();
   if (lease_next == kInvalidLease) {
     r.FailExternal("marketplace: invalid lease id counter");
@@ -1914,12 +1905,8 @@ bool Marketplace::Load(const std::string& data, std::string* error) {
   if (!r.Section("mkt.nodes")) return fail();
   std::vector<NodeRt> staged_nodes(nodes_.size());
   for (NodeRt& nr : staged_nodes) {
-    nr.c.local_requests = r.U64();
-    nr.c.remote_requests = r.U64();
-    nr.c.served_pages = r.U64();
-    nr.c.reclaim_moves = r.U64();
-    nr.c.request_failures = r.U64();
-    LoadHistogram(&r, &nr.latency);
+    LoadState(&r, &nr.c);
+    LoadState(&r, &nr.latency);
   }
   if (!r.ok()) return fail();
 
@@ -1937,7 +1924,7 @@ bool Marketplace::Load(const std::string& data, std::string* error) {
     }
   }
 
-  uint64_t staged_fault[8] = {0};
+  FailoverCounters staged_fault;
   int64_t staged_orch = 0;
   std::vector<uint8_t> staged_believed;
   std::vector<TimeNs> staged_since;
@@ -1946,7 +1933,7 @@ bool Marketplace::Load(const std::string& data, std::string* error) {
   std::vector<TimeNs> staged_wf;
   if (faulty_) {
     if (!r.Section("mkt.fault")) return fail();
-    for (uint64_t& v : staged_fault) v = r.U64();
+    LoadState(&r, &staged_fault);
     staged_orch = r.I64();
     for (int n = 0; n < opts_.num_nodes; ++n) {
       staged_believed.push_back(r.U8());
@@ -1984,11 +1971,7 @@ bool Marketplace::Load(const std::string& data, std::string* error) {
   nodes_ = std::move(staged_nodes);
   consolidation_ = std::move(staged_consol);
   stranded_ = std::move(staged_stranded);
-  placed_single_ = placed_single;
-  placed_aggregate_ = placed_aggregate;
-  delayed_ = delayed;
-  reclaims_ = reclaims;
-  vms_completed_ = completed;
+  orch_counts_ = staged_counts;
   leases_->RestoreNextId(lease_next);
   *leases_->mutable_stats() = staged_lease;
   CommitTransportShards(staged_transport, fabric_.get(), rpc_.get());
@@ -1996,14 +1979,7 @@ bool Marketplace::Load(const std::string& data, std::string* error) {
   events_ = events;
 
   if (faulty_) {
-    failovers_ = staged_fault[0];
-    vms_failed_ = staged_fault[1];
-    nodes_died_ = staged_fault[2];
-    lender_replacements_ = staged_fault[3];
-    lender_degradations_ = staged_fault[4];
-    journal_records_ = staged_fault[5];
-    late_dones_ = staged_fault[6];
-    shadow_divergence_ = staged_fault[7];
+    fault_counts_ = staged_fault;
     orch_node_ = static_cast<NodeId>(staged_orch);
     leases_->FailoverReset(orch_node_);
     *leases_->mutable_stats() = staged_lease;  // the reset bumped failover_cleared
@@ -2040,11 +2016,7 @@ uint64_t Marketplace::Digest() const {
   uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis, folded per word
   const auto mix = [&h](uint64_t v) { h = (h ^ v) * 1099511628211ull; };
   for (const NodeRt& nr : nodes_) {
-    mix(nr.c.local_requests);
-    mix(nr.c.remote_requests);
-    mix(nr.c.served_pages);
-    mix(nr.c.reclaim_moves);
-    mix(nr.c.request_failures);
+    MarketplaceNodeCounters::Fields(mix, nr.c);
     mix(nr.latency.count());
     for (int i = 0; i < Histogram::kBuckets; ++i) {
       mix(nr.latency.bucket(i));
@@ -2058,19 +2030,15 @@ uint64_t Marketplace::Digest() const {
     mix(static_cast<uint64_t>(static_cast<int64_t>(run.home)));
     mix(static_cast<uint64_t>(run.span));
   }
-  mix(placed_single_);
-  mix(placed_aggregate_);
-  mix(delayed_);
-  mix(reclaims_);
-  mix(vms_completed_);
+  OrchCounters::Fields(mix, orch_counts_);
   if (faulty_) {
-    mix(failovers_);
-    mix(vms_failed_);
-    mix(nodes_died_);
-    mix(lender_replacements_);
-    mix(lender_degradations_);
-    mix(late_dones_);
-    mix(journal_records_);
+    mix(fault_counts_.failovers);
+    mix(fault_counts_.vms_failed);
+    mix(fault_counts_.nodes_died);
+    mix(fault_counts_.lender_replacements);
+    mix(fault_counts_.lender_degradations);
+    mix(fault_counts_.late_dones);
+    mix(fault_counts_.journal_records);
     for (const VmRun& run : vms_) mix(run.fail_reason);
     for (const uint8_t b : believed_up_) mix(b);
   }
@@ -2110,14 +2078,14 @@ MarketplaceResult Marketplace::Run(const MarketplaceRunConfig& cfg) {
   r.per_node.reserve(nodes_.size());
   for (const NodeRt& nr : nodes_) {
     r.per_node.push_back(nr.c);
-    r.totals.Accumulate(nr.c);
+    AccumulateState(&r.totals, nr.c);
     r.latency.Accumulate(nr.latency);
   }
-  r.placed_single = placed_single_;
-  r.placed_aggregate = placed_aggregate_;
-  r.delayed = delayed_;
-  r.reclaims = reclaims_;
-  r.vms_completed = vms_completed_;
+  r.placed_single = orch_counts_.placed_single;
+  r.placed_aggregate = orch_counts_.placed_aggregate;
+  r.delayed = orch_counts_.delayed;
+  r.reclaims = orch_counts_.reclaims;
+  r.vms_completed = orch_counts_.vms_completed;
   r.lease = leases_->stats();
   r.vms.reserve(vms_.size());
   for (size_t i = 0; i < vms_.size(); ++i) {
@@ -2143,13 +2111,13 @@ MarketplaceResult Marketplace::Run(const MarketplaceRunConfig& cfg) {
   r.fabric = fabric_->MergedStats();
   r.rpc = rpc_->MergedStats();
   r.used_fault_plan = faulty_;
-  r.vms_failed = vms_failed_;
-  r.failovers = failovers_;
-  r.nodes_died = nodes_died_;
-  r.lender_replacements = lender_replacements_;
-  r.lender_degradations = lender_degradations_;
-  r.journal_records = journal_records_;
-  r.late_dones = late_dones_;
+  r.vms_failed = fault_counts_.vms_failed;
+  r.failovers = fault_counts_.failovers;
+  r.nodes_died = fault_counts_.nodes_died;
+  r.lender_replacements = fault_counts_.lender_replacements;
+  r.lender_degradations = fault_counts_.lender_degradations;
+  r.journal_records = fault_counts_.journal_records;
+  r.late_dones = fault_counts_.late_dones;
   r.detection_ns = detection_ns_;
   r.recovery_ns = recovery_ns_;
   r.wave_finish_ns = wave_finish_;
@@ -2168,14 +2136,6 @@ MarketplaceResult Marketplace::Run(const MarketplaceRunConfig& cfg) {
 }
 
 }  // namespace
-
-void MarketplaceNodeCounters::Accumulate(const MarketplaceNodeCounters& o) {
-  local_requests += o.local_requests;
-  remote_requests += o.remote_requests;
-  served_pages += o.served_pages;
-  reclaim_moves += o.reclaim_moves;
-  request_failures += o.request_failures;
-}
 
 const char* VmFailReasonName(VmFailReason reason) {
   switch (reason) {

@@ -139,7 +139,15 @@ struct MarketplaceNodeCounters {
   uint64_t reclaim_moves = 0;    // lender shares this home absorbed back
   uint64_t request_failures = 0; // reliable-channel give-ups observed here
 
-  void Accumulate(const MarketplaceNodeCounters& o);
+  // The field list (src/sim/state_io.h), in snapshot wire and digest order.
+  template <typename V, typename... S>
+  static constexpr void Fields(V&& v, S&... s) {
+    v(s.local_requests...);
+    v(s.remote_requests...);
+    v(s.served_pages...);
+    v(s.reclaim_moves...);
+    v(s.request_failures...);
+  }
 };
 
 // Why a VM ended kFailed (0 = it did not fail).

@@ -104,6 +104,24 @@ struct LeaseStats {
   Counter orphaned;          // OnNodeFailure retired a dead borrower's lease
   Counter restored;          // RestoreActiveLease reinstatements
   Counter failover_cleared;  // entries wiped by FailoverReset (book died)
+
+  // The field list (src/sim/state_io.h), in snapshot wire order.
+  template <typename V, typename... S>
+  static constexpr void Fields(V&& v, S&... s) {
+    v(s.granted...);
+    v(s.renewed...);
+    v(s.expired...);
+    v(s.revoked...);
+    v(s.released...);
+    v(s.renew_failures...);
+    v(s.handbacks...);
+    v(s.requested...);
+    v(s.lost...);
+    v(s.dropped...);
+    v(s.orphaned...);
+    v(s.restored...);
+    v(s.failover_cleared...);
+  }
 };
 
 class LeaseManager {

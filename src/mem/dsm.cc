@@ -1506,34 +1506,7 @@ void DsmEngine::SaveState(SnapshotWriter* w) const {
     w->Bytes(delta_[li]->last.data(), sizeof(delta_[li]->last));
   }
 
-  SaveCounter(w, stats_.read_faults);
-  SaveCounter(w, stats_.write_faults);
-  SaveCounter(w, stats_.invalidations);
-  SaveCounter(w, stats_.page_transfers);
-  SaveCounter(w, stats_.prefetched_pages);
-  SaveCounter(w, stats_.protocol_messages);
-  SaveCounter(w, stats_.protocol_bytes);
-  for (const Counter& c : stats_.faults_by_class) {
-    SaveCounter(w, c);
-  }
-  SaveSummary(w, stats_.fault_latency_ns);
-  SaveCounter(w, stats_.hint_hits);
-  SaveCounter(w, stats_.hint_stale);
-  SaveCounter(w, stats_.replica_reads);
-  SaveCounter(w, stats_.region_transfers);
-  SaveCounter(w, stats_.read_mostly_promotions);
-  SaveCounter(w, stats_.hold_escalations);
-  SaveNodeCounterSet(w, stats_.txn_retries);
-  SaveNodeCounterSet(w, stats_.txn_absorbed);
-  SaveNodeCounterSet(w, stats_.write_aborts);
-  SaveCounter(w, stats_.pages_reclaimed);
-  SaveCounter(w, stats_.pages_promoted);
-  SaveCounter(w, stats_.pages_rehomed_clean);
-  SaveCounter(w, stats_.pages_lost_dirty);
-  SaveCounter(w, stats_.rdma_reads);
-  SaveCounter(w, stats_.compressed_transfers);
-  SaveCounter(w, stats_.delta_transfers);
-  SaveCounter(w, stats_.transfer_bytes_saved);
+  fragvisor::SaveState(w, stats_);  // qualified: this member hides the walk
 }
 
 bool DsmEngine::LoadState(SnapshotReader* r) {
@@ -1687,37 +1660,7 @@ bool DsmEngine::LoadState(SnapshotReader* r) {
   }
 
   DsmStats staged_stats;
-  staged_stats.txn_retries.Init(options_.num_nodes);
-  staged_stats.txn_absorbed.Init(options_.num_nodes);
-  staged_stats.write_aborts.Init(options_.num_nodes);
-  LoadCounter(r, &staged_stats.read_faults);
-  LoadCounter(r, &staged_stats.write_faults);
-  LoadCounter(r, &staged_stats.invalidations);
-  LoadCounter(r, &staged_stats.page_transfers);
-  LoadCounter(r, &staged_stats.prefetched_pages);
-  LoadCounter(r, &staged_stats.protocol_messages);
-  LoadCounter(r, &staged_stats.protocol_bytes);
-  for (Counter& c : staged_stats.faults_by_class) {
-    LoadCounter(r, &c);
-  }
-  LoadSummary(r, &staged_stats.fault_latency_ns);
-  LoadCounter(r, &staged_stats.hint_hits);
-  LoadCounter(r, &staged_stats.hint_stale);
-  LoadCounter(r, &staged_stats.replica_reads);
-  LoadCounter(r, &staged_stats.region_transfers);
-  LoadCounter(r, &staged_stats.read_mostly_promotions);
-  LoadCounter(r, &staged_stats.hold_escalations);
-  LoadNodeCounterSet(r, &staged_stats.txn_retries);
-  LoadNodeCounterSet(r, &staged_stats.txn_absorbed);
-  LoadNodeCounterSet(r, &staged_stats.write_aborts);
-  LoadCounter(r, &staged_stats.pages_reclaimed);
-  LoadCounter(r, &staged_stats.pages_promoted);
-  LoadCounter(r, &staged_stats.pages_rehomed_clean);
-  LoadCounter(r, &staged_stats.pages_lost_dirty);
-  LoadCounter(r, &staged_stats.rdma_reads);
-  LoadCounter(r, &staged_stats.compressed_transfers);
-  LoadCounter(r, &staged_stats.delta_transfers);
-  LoadCounter(r, &staged_stats.transfer_bytes_saved);
+  fragvisor::LoadState(r, &staged_stats);
   if (!r->ok()) {
     return false;
   }

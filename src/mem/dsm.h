@@ -113,6 +113,37 @@ struct DsmStats {
   Counter pages_lost_dirty;      // only copy died AND was written since the ckpt
 
   uint64_t total_faults() const { return read_faults.value() + write_faults.value(); }
+
+  // The field list (src/sim/state_io.h), in snapshot wire order.
+  template <typename V, typename... S>
+  static constexpr void Fields(V&& v, S&... s) {
+    v(s.read_faults...);
+    v(s.write_faults...);
+    v(s.invalidations...);
+    v(s.page_transfers...);
+    v(s.prefetched_pages...);
+    v(s.protocol_messages...);
+    v(s.protocol_bytes...);
+    v(s.faults_by_class...);
+    v(s.fault_latency_ns...);
+    v(s.hint_hits...);
+    v(s.hint_stale...);
+    v(s.replica_reads...);
+    v(s.region_transfers...);
+    v(s.read_mostly_promotions...);
+    v(s.hold_escalations...);
+    v(s.txn_retries...);
+    v(s.txn_absorbed...);
+    v(s.write_aborts...);
+    v(s.pages_reclaimed...);
+    v(s.pages_promoted...);
+    v(s.pages_rehomed_clean...);
+    v(s.pages_lost_dirty...);
+    v(s.rdma_reads...);
+    v(s.compressed_transfers...);
+    v(s.delta_transfers...);
+    v(s.transfer_bytes_saved...);
+  }
 };
 
 class DsmEngine {

@@ -121,15 +121,6 @@ void FabricStats::Account(MsgKind kind, uint64_t size) {
   total_bytes.Add(size);
 }
 
-void FabricStats::Accumulate(const FabricStats& other) {
-  for (size_t i = 0; i < messages.size(); ++i) {
-    messages[i].Accumulate(other.messages[i]);
-    bytes[i].Accumulate(other.bytes[i]);
-  }
-  total_messages.Accumulate(other.total_messages);
-  total_bytes.Accumulate(other.total_bytes);
-}
-
 TimeNs WireTime(const LinkParams& params, uint64_t size) {
   FV_CHECK_GT(params.bytes_per_second, 0.0);
   return FromSeconds(static_cast<double>(size) / params.bytes_per_second);
@@ -555,22 +546,6 @@ void Fabric::SendRequestResponse(NodeId src, NodeId dst, MsgKind kind, uint64_t 
         });
       },
       0, [fail] { (*fail)(); });
-}
-
-FabricStats Fabric::MergedStats() const {
-  FabricStats merged = stats_;
-  for (const FabricStats& s : shard_stats_) {
-    merged.Accumulate(s);
-  }
-  return merged;
-}
-
-RetryStats Fabric::MergedRetryStats() const {
-  RetryStats merged = retry_stats_;
-  for (const RetryStats& s : shard_retry_) {
-    merged.Accumulate(s);
-  }
-  return merged;
 }
 
 }  // namespace fragvisor

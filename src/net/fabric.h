@@ -40,6 +40,7 @@
 #include "src/sim/event_loop.h"
 #include "src/sim/fault_plan.h"
 #include "src/sim/parallel_loop.h"
+#include "src/sim/state_io.h"
 #include "src/sim/stats.h"
 #include "src/sim/time.h"
 
@@ -159,8 +160,15 @@ struct FabricStats {
   Counter total_bytes;
 
   void Account(MsgKind kind, uint64_t size);
-  // Folds another stats block in — used to merge per-node shards.
-  void Accumulate(const FabricStats& other);
+
+  // The field list (src/sim/state_io.h), in snapshot wire order.
+  template <typename V, typename... S>
+  static constexpr void Fields(V&& v, S&... s) {
+    v(s.messages...);
+    v(s.bytes...);
+    v(s.total_messages...);
+    v(s.total_bytes...);
+  }
 };
 
 // Retransmission behavior of the reliable channel (active only with a fault
@@ -181,17 +189,16 @@ struct RetryStats {
   NodeCounterSet dups_suppressed;  // duplicate arrivals dropped at receiver
 
   void Init(int num_nodes) {
-    retransmits.Init(num_nodes);
-    timeouts.Init(num_nodes);
-    send_failures.Init(num_nodes);
-    dups_suppressed.Init(num_nodes);
+    Fields([num_nodes](NodeCounterSet& set) { set.Init(num_nodes); }, *this);
   }
 
-  void Accumulate(const RetryStats& other) {
-    retransmits.Accumulate(other.retransmits);
-    timeouts.Accumulate(other.timeouts);
-    send_failures.Accumulate(other.send_failures);
-    dups_suppressed.Accumulate(other.dups_suppressed);
+  // The field list (src/sim/state_io.h), in snapshot wire order.
+  template <typename V, typename... S>
+  static constexpr void Fields(V&& v, S&... s) {
+    v(s.retransmits...);
+    v(s.timeouts...);
+    v(s.send_failures...);
+    v(s.dups_suppressed...);
   }
 };
 
@@ -333,8 +340,8 @@ class Fabric {
 
   // Serial stats plus every per-node shard. In serial mode this equals
   // stats()/retry_stats(); in parallel mode it is the only complete view.
-  FabricStats MergedStats() const;
-  RetryStats MergedRetryStats() const;
+  FabricStats MergedStats() const { return MergeShards(stats_, shard_stats_); }
+  RetryStats MergedRetryStats() const { return MergeShards(retry_stats_, shard_retry_); }
 
   // Total payload bytes placed on the wire so far (excludes loopback).
   uint64_t wire_bytes() const { return MergedStats().total_bytes.value(); }

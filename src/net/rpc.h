@@ -39,6 +39,7 @@
 
 #include "src/net/fabric.h"
 #include "src/sim/event_loop.h"
+#include "src/sim/state_io.h"
 #include "src/sim/stats.h"
 #include "src/sim/time.h"
 
@@ -81,18 +82,19 @@ struct RpcStats {
   Counter acks_coalesced;     // explicit ack messages elided by coalescing
   Counter qos_deferred;       // messages that waited in a QoS link queue
 
-  // Folds another stats block in — used to merge per-node shards.
-  void Accumulate(const RpcStats& other) {
-    calls.Accumulate(other.calls);
-    datagrams.Accumulate(other.datagrams);
-    call_failures.Accumulate(other.call_failures);
-    retries.Accumulate(other.retries);
-    abandons.Accumulate(other.abandons);
-    notifies.Accumulate(other.notifies);
-    multicast_rounds.Accumulate(other.multicast_rounds);
-    multicast_targets.Accumulate(other.multicast_targets);
-    acks_coalesced.Accumulate(other.acks_coalesced);
-    qos_deferred.Accumulate(other.qos_deferred);
+  // The field list (src/sim/state_io.h), in snapshot wire order.
+  template <typename V, typename... S>
+  static constexpr void Fields(V&& v, S&... s) {
+    v(s.calls...);
+    v(s.datagrams...);
+    v(s.call_failures...);
+    v(s.retries...);
+    v(s.abandons...);
+    v(s.notifies...);
+    v(s.multicast_rounds...);
+    v(s.multicast_targets...);
+    v(s.acks_coalesced...);
+    v(s.qos_deferred...);
   }
 };
 
@@ -235,13 +237,7 @@ class RpcLayer {
 
   // Serial stats plus every per-node shard; the only complete view on a
   // parallel-core fabric.
-  RpcStats MergedStats() const {
-    RpcStats merged = stats_;
-    for (const RpcStats& s : shards_) {
-      merged.Accumulate(s);
-    }
-    return merged;
-  }
+  RpcStats MergedStats() const { return MergeShards(stats_, shards_); }
 
   // Snapshot restore writes counters back into the shard that owns them
   // (the serial block when shards are absent).

@@ -190,14 +190,6 @@ FaultPlan::Perturbation FaultPlan::Perturb(int32_t src, int32_t dst, TimeNs now)
   return PerturbWith(rng_, stats_, src, dst);
 }
 
-FaultPlanStats FaultPlan::MergedStats() const {
-  FaultPlanStats merged = stats_;
-  for (const FaultPlanStats& s : shard_stats_) {
-    merged.Accumulate(s);
-  }
-  return merged;
-}
-
 void FaultPlan::Arm(EventLoop* loop) {
   FV_CHECK(loop != nullptr);
   if (loop_ == loop) {

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "src/sim/rng.h"
+#include "src/sim/state_io.h"
 #include "src/sim/stats.h"
 #include "src/sim/time.h"
 
@@ -92,15 +93,16 @@ struct FaultPlanStats {
   Counter partitions_cut;
   Counter partitions_healed;
 
-  // Folds another stats block in — used to merge per-node shards.
-  void Accumulate(const FaultPlanStats& other) {
-    messages_dropped.Accumulate(other.messages_dropped);
-    messages_duplicated.Accumulate(other.messages_duplicated);
-    messages_delayed.Accumulate(other.messages_delayed);
-    node_crashes.Accumulate(other.node_crashes);
-    node_restarts.Accumulate(other.node_restarts);
-    partitions_cut.Accumulate(other.partitions_cut);
-    partitions_healed.Accumulate(other.partitions_healed);
+  // The field list (src/sim/state_io.h), in snapshot wire order.
+  template <typename V, typename... S>
+  static constexpr void Fields(V&& v, S&... s) {
+    v(s.messages_dropped...);
+    v(s.messages_duplicated...);
+    v(s.messages_delayed...);
+    v(s.node_crashes...);
+    v(s.node_restarts...);
+    v(s.partitions_cut...);
+    v(s.partitions_healed...);
   }
 };
 
@@ -210,7 +212,7 @@ class FaultPlan {
 
   // Base stats plus every per-node shard (order-independent sums, so the
   // merged view is identical at any worker count).
-  FaultPlanStats MergedStats() const;
+  FaultPlanStats MergedStats() const { return MergeShards(stats_, shard_stats_); }
 
  private:
   struct NodeTransition {

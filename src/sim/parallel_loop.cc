@@ -257,6 +257,7 @@ size_t ParallelEventLoop::Run() {
 
   // Every thread has passed the last barrier, so all partition counters are
   // final and visible here.
+  const uint64_t before = stats_.events_dispatched;
   stats_.events_dispatched = 0;
   stats_.mailbox_events = 0;
   stats_.cross_cancels_routed = 0;
@@ -272,7 +273,7 @@ size_t ParallelEventLoop::Run() {
     stats_.cross_cancels_applied += part.cancels_applied;
     stats_.cross_cancels_late += part.cancels_late;
   }
-  return stats_.events_dispatched;
+  return stats_.events_dispatched - before;
 }
 
 }  // namespace fragvisor

@@ -136,7 +136,8 @@ class ParallelEventLoop {
   // for a malformed handle.
   bool CancelCross(int from, CrossEventId id);
 
-  // Runs every partition to completion. Returns total events dispatched.
+  // Runs every partition to completion. Returns the events this call
+  // dispatched, as EventLoop::Run() does; stats() sums over every call.
   size_t Run();
 
   const RunStats& stats() const { return stats_; }

@@ -111,6 +111,10 @@ Storm::Storm(const StormOptions& opts, int threads, const StormRunConfig& cfg)
   FV_CHECK_GE(opts.cache_slots, 0);
   FV_CHECK_GE(opts.epochs, 1);
   FV_CHECK_GE(threads, 0);
+  // Every field must fit its width in the request token (PackToken).
+  FV_CHECK_LE(opts.streams_per_node, 1 << 8);
+  FV_CHECK_LE(opts.num_nodes, 1 << 16);
+  FV_CHECK_LE(int64_t{opts.num_nodes} * opts.pages_per_node, int64_t{1} << 40);
 
   if (threads > 0) {
     ParallelEventLoop::Options po;
@@ -337,15 +341,7 @@ uint64_t Storm::Digest() const {
   uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis, folded per word
   const auto mix = [&h](uint64_t v) { h = (h ^ v) * 1099511628211ull; };
   for (const NodeState& ns : nodes_) {
-    mix(ns.c.local_accesses);
-    mix(ns.c.cache_hits);
-    mix(ns.c.remote_reads);
-    mix(ns.c.remote_writes);
-    mix(ns.c.served_reads);
-    mix(ns.c.served_writes);
-    mix(ns.c.invalidations);
-    mix(ns.c.evictions);
-    mix(ns.c.failures);
+    StormCounters::Fields(mix, ns.c);
     for (const uint64_t v : ns.version) {
       mix(v);
     }
@@ -405,15 +401,7 @@ std::string Storm::Save() {
     for (const int32_t lr : ns.last_reader) {
       w.I64(lr);
     }
-    w.U64(ns.c.local_accesses);
-    w.U64(ns.c.cache_hits);
-    w.U64(ns.c.remote_reads);
-    w.U64(ns.c.remote_writes);
-    w.U64(ns.c.served_reads);
-    w.U64(ns.c.served_writes);
-    w.U64(ns.c.invalidations);
-    w.U64(ns.c.evictions);
-    w.U64(ns.c.failures);
+    SaveState(&w, ns.c);
   }
 
   // Per-shard transport counters: parallel runs shard stats by sending node
@@ -527,15 +515,7 @@ bool Storm::Load(const std::string& data, std::string* error) {
         return fail();
       }
     }
-    ns.c.local_accesses = r.U64();
-    ns.c.cache_hits = r.U64();
-    ns.c.remote_reads = r.U64();
-    ns.c.remote_writes = r.U64();
-    ns.c.served_reads = r.U64();
-    ns.c.served_writes = r.U64();
-    ns.c.invalidations = r.U64();
-    ns.c.evictions = r.U64();
-    ns.c.failures = r.U64();
+    LoadState(&r, &ns.c);
   }
   if (!r.ok()) {
     return fail();
@@ -593,7 +573,7 @@ StormResult Storm::Run(const StormRunConfig& cfg) {
   r.per_node.reserve(nodes_.size());
   for (const NodeState& ns : nodes_) {
     r.per_node.push_back(ns.c);
-    r.totals.Accumulate(ns.c);
+    AccumulateState(&r.totals, ns.c);
   }
   r.finish_time = ploop_ != nullptr ? ploop_->now_max() : serial_->now();
   r.events_dispatched = events_;
@@ -614,18 +594,6 @@ StormResult Storm::Run(const StormRunConfig& cfg) {
 }
 
 }  // namespace
-
-void StormCounters::Accumulate(const StormCounters& o) {
-  local_accesses += o.local_accesses;
-  cache_hits += o.cache_hits;
-  remote_reads += o.remote_reads;
-  remote_writes += o.remote_writes;
-  served_reads += o.served_reads;
-  served_writes += o.served_writes;
-  invalidations += o.invalidations;
-  evictions += o.evictions;
-  failures += o.failures;
-}
 
 StormResult RunStorm(const StormOptions& opts, int threads) {
   return RunStormEx(opts, threads, StormRunConfig{});

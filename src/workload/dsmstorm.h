@@ -98,7 +98,19 @@ struct StormCounters {
   uint64_t evictions = 0;      // direct-mapped conflict evictions here
   uint64_t failures = 0;       // reliable-channel give-ups observed here
 
-  void Accumulate(const StormCounters& o);
+  // The field list (src/sim/state_io.h), in snapshot wire and digest order.
+  template <typename V, typename... S>
+  static constexpr void Fields(V&& v, S&... s) {
+    v(s.local_accesses...);
+    v(s.cache_hits...);
+    v(s.remote_reads...);
+    v(s.remote_writes...);
+    v(s.served_reads...);
+    v(s.served_writes...);
+    v(s.invalidations...);
+    v(s.evictions...);
+    v(s.failures...);
+  }
 };
 
 struct StormResult {

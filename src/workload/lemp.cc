@@ -16,6 +16,7 @@ constexpr int kPhpChunks = 8;                 // kernel interaction granularity
 LempNginxStream::LempNginxStream(AggregateVm* vm, const LempConfig& config)
     : vm_(vm), config_(config) {
   FV_CHECK(vm != nullptr);
+  FV_CHECK_GT(config.num_php_workers, 0);
   FV_CHECK_GE(vm->num_vcpus(), config.num_php_workers + 1);
 }
 

@@ -30,6 +30,24 @@ TEST(ParallelLoopTest, RunsPartitionLocalEventsInTimeOrder) {
   EXPECT_EQ(ploop.stats().events_dispatched, 3u);
 }
 
+TEST(ParallelLoopTest, EachRunReturnsOnlyItsOwnEvents) {
+  ParallelEventLoop::Options po;
+  po.num_partitions = 2;
+  po.num_threads = 2;
+  po.lookahead = 100;
+  ParallelEventLoop ploop(po);
+  for (const TimeNs t : {10, 20, 30}) {
+    ploop.partition(0)->ScheduleAt(t, [] {});
+  }
+  EXPECT_EQ(ploop.Run(), 3u);
+  for (const TimeNs t : {40, 50}) {
+    ploop.partition(1)->ScheduleAt(t, [] {});
+  }
+  EXPECT_EQ(ploop.Run(), 2u);
+  EXPECT_EQ(ploop.Run(), 0u);
+  EXPECT_EQ(ploop.stats().events_dispatched, 5u);
+}
+
 TEST(ParallelLoopTest, CrossEventsRespectLookahead) {
   ParallelEventLoop::Options po;
   po.num_partitions = 2;
@@ -319,6 +337,22 @@ TEST(ParallelStormTest, StormCompletesAllAccessesWithoutFaults) {
   EXPECT_EQ(r.totals.failures, 0u);
   EXPECT_EQ(r.totals.served_reads, r.totals.remote_reads);
   EXPECT_EQ(r.totals.served_writes, r.totals.remote_writes);
+}
+
+// A request token is [gpid : 40][requester : 16][stream : 8]. The widest
+// configuration it carries accounts for every access; one stream more is
+// refused rather than run with aliased tokens.
+TEST(ParallelStormTest, RefusesConfigurationsTheRequestTokenCannotCarry) {
+  StormOptions so;
+  so.num_nodes = 4;
+  so.streams_per_node = 256;
+  so.accesses_per_stream = 20;
+  const StormResult r = RunStorm(so, 0);
+  EXPECT_EQ(r.totals.local_accesses + r.totals.cache_hits + r.totals.remote_reads +
+                r.totals.remote_writes,
+            4u * 256u * 20u);
+  so.streams_per_node = 257;
+  EXPECT_DEATH(RunStorm(so, 0), "streams_per_node");
 }
 
 }  // namespace

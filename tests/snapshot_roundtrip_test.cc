@@ -105,6 +105,24 @@ TEST(SnapshotRoundtrip, UnderArmedFaultPlan) {
   RoundTrip(FaultyStorm(), /*threads=*/4, /*snapshot_epoch=*/2);
 }
 
+TEST(SnapshotRoundtrip, ResumedParallelRunCountsTheSameEvents) {
+  const StormOptions opts = FaultyStorm();
+  const StormResult reference = RunStorm(opts, /*threads=*/2);
+  std::string snapshot;
+  StormRunConfig save_cfg;
+  save_cfg.snapshot_out = &snapshot;
+  save_cfg.snapshot_epoch = 1;
+  RunStormEx(opts, /*threads=*/2, save_cfg);
+
+  StormRunConfig load_cfg;
+  load_cfg.snapshot_in = &snapshot;
+  std::string error;
+  load_cfg.error = &error;
+  const StormResult resumed = RunStormEx(opts, /*threads=*/2, load_cfg);
+  ASSERT_EQ(error, "");
+  EXPECT_EQ(resumed.events_dispatched, reference.events_dispatched);
+}
+
 TEST(SnapshotRoundtrip, CaptureOfResumedRunMatchesSuffix) {
   // A resumed run's capture holds exactly the post-boundary deliveries: its
   // canonical log must be a suffix-consistent subset of the full run's (same

@@ -80,18 +80,20 @@ bool CheckArgs(const KeyValues& kv) {
   return false;
 }
 
-// Parses "fragvisor" | "giantvm" | "overcommit[:P]" into `setup`.
+// Parses "fragvisor" | "giantvm" | "overcommit[:P]" (P >= 1) into `setup`.
 bool ParseSystem(const std::string& system, Setup* setup) {
+  constexpr std::string_view kPrefix = "overcommit:";
+  int pcpus = 1;
   if (system == "fragvisor") {
     setup->system = System::kFragVisor;
   } else if (system == "giantvm") {
     setup->system = System::kGiantVm;
-  } else if (system.rfind("overcommit", 0) == 0) {
+  } else if (system == "overcommit" ||
+             (system.starts_with(kPrefix) &&
+              options_text::FromChars(std::string_view(system).substr(kPrefix.size()), &pcpus) &&
+              pcpus >= 1)) {
     setup->system = System::kOvercommit;
-    const size_t colon = system.find(':');
-    setup->overcommit_pcpus = colon == std::string::npos
-                                  ? 1
-                                  : std::atoi(system.substr(colon + 1).c_str());
+    setup->overcommit_pcpus = pcpus;
   } else {
     return false;
   }
@@ -270,6 +272,10 @@ int RunLempCmd(KeyValues& kv) {
   lemp.concurrency = kv.Get("concurrency", 10);
   const std::string msg_stats_path = kv.Get<std::string>("msg_stats", "");
   if (!CheckArgs(kv)) {
+    return 2;
+  }
+  if (lemp.num_php_workers < 1) {
+    std::fprintf(stderr, "fvsim: lemp needs --vcpus 2 or more (nginx and a PHP worker)\n");
     return 2;
   }
   double faults = 0;
