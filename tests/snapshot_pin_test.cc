@@ -82,5 +82,22 @@ TEST(SnapshotPinTest, DsmEngineAtGoldenTraceMidpoint) {
   EXPECT_EQ(SnapshotHashString(snapshot), 0x900f0b192592f14dull);
 }
 
+// The default engine above leaves the owner-hint and version tables empty;
+// these fast paths fill both.
+TEST(SnapshotPinTest, DsmEngineWithFastPaths) {
+  const auto fast_paths = [](DsmEngine::Options& o) {
+    o.owner_hints = true;
+    o.read_mostly_replication = true;
+    o.adaptive_granularity = true;
+    o.compress = true;
+  };
+  std::string snapshot;
+  const GoldenTraceResult r = RunGoldenTrace(nullptr, fast_paths, true, &snapshot);
+  EXPECT_EQ(GoldenTraceHash(r), 0x8cb5b12205bdfe9aull);
+  EXPECT_EQ(GoldenTraceHash(RunGoldenTrace(nullptr, fast_paths)), 0x8cb5b12205bdfe9aull);
+  EXPECT_EQ(snapshot.size(), 1039160u);
+  EXPECT_EQ(SnapshotHashString(snapshot), 0xa3640a003a54ac40ull);
+}
+
 }  // namespace
 }  // namespace fragvisor
