@@ -1,8 +1,35 @@
 #include "src/ckpt/sim_snapshot.h"
 
-#include "src/sim/state_io.h"
+#include <algorithm>
 
 namespace fragvisor {
+
+EngineClocks EngineClocks::Of(const EventLoop* loop, ParallelEventLoop* ploop) {
+  EngineClocks c;
+  if (ploop != nullptr) {
+    for (int p = 0; p < ploop->num_partitions(); ++p) {
+      c.partitions.push_back({ploop->partition(p)->now(), ploop->next_cancellable_token(p)});
+    }
+  } else {
+    c.serial.push_back(loop->now());
+  }
+  return c;
+}
+
+bool EngineClocks::AnyNegative() const {
+  return std::ranges::any_of(partitions, [](const Partition& p) { return p.now < 0; }) ||
+         std::ranges::any_of(serial, [](TimeNs t) { return t < 0; });
+}
+
+void EngineClocks::Restore(EventLoop* loop, ParallelEventLoop* ploop) const {
+  for (size_t p = 0; p < partitions.size(); ++p) {
+    ploop->partition(static_cast<int>(p))->AdvanceTo(partitions[p].now);
+    ploop->RestoreCancellableToken(static_cast<int>(p), partitions[p].next_token);
+  }
+  for (const TimeNs t : serial) {
+    loop->AdvanceTo(t);
+  }
+}
 
 void SaveTransportShards(SnapshotWriter* w, Fabric* fabric, RpcLayer* rpc) {
   const int shards = fabric->parallel() ? fabric->num_nodes() : 1;
@@ -45,16 +72,16 @@ void CommitTransportShards(const TransportShards& staged, Fabric* fabric, RpcLay
 }
 
 void SaveFaultPlanState(SnapshotWriter* w, FaultPlan* plan) {
-  SaveRng(w, plan->mutable_rng());
+  SaveState(w, plan->mutable_rng());
   w->U32(static_cast<uint32_t>(plan->num_node_streams()));
   for (int n = 0; n < plan->num_node_streams(); ++n) {
-    SaveRng(w, plan->mutable_node_rng(n));
+    SaveState(w, plan->mutable_node_rng(n));
   }
   SaveState(w, plan->MergedStats());
 }
 
 void LoadFaultPlanState(SnapshotReader* r, FaultPlan* plan) {
-  LoadRng(r, &plan->mutable_rng());
+  LoadState(r, &plan->mutable_rng());
   const uint32_t streams = r->U32();
   if (!r->ok()) {
     return;
@@ -64,7 +91,7 @@ void LoadFaultPlanState(SnapshotReader* r, FaultPlan* plan) {
     return;
   }
   for (uint32_t n = 0; n < streams; ++n) {
-    LoadRng(r, &plan->mutable_node_rng(static_cast<int>(n)));
+    LoadState(r, &plan->mutable_node_rng(static_cast<int>(n)));
   }
   // Merged counters land in the plan's global block; per-node shards start
   // fresh and MergedStats() sums to the same totals either way.

@@ -1,7 +1,8 @@
-// Snapshot records of the transport layer (fabric, retry, rpc, fault plan)
-// that whole-sim snapshots embed (DESIGN.md §10). The stats blocks themselves
-// are saved, loaded and merged through their field lists (src/sim/state_io.h);
-// what is here is the structure around them.
+// Snapshot records that whole-sim snapshots share (DESIGN.md §10): the run's
+// progress and engine clocks, which the storm and the marketplace save alike,
+// and the transport layer (fabric, retry, rpc, fault plan). Records are saved
+// and loaded through their field lists (src/sim/state_io.h); what else is
+// here is the structure around them.
 //
 // Transport stats are sharded per sending node in parallel mode, and the
 // shards ARE observable (per-node stats tables in reports), so snapshots
@@ -18,10 +19,56 @@
 
 #include "src/net/fabric.h"
 #include "src/net/rpc.h"
+#include "src/sim/event_loop.h"
 #include "src/sim/fault_plan.h"
+#include "src/sim/parallel_loop.h"
 #include "src/sim/snapshot.h"
+#include "src/sim/state_io.h"
 
 namespace fragvisor {
+
+// The epochs (marketplace waves) a run completed, and the events it took.
+struct RunProgress {
+  int epochs = 0;
+  uint64_t events = 0;
+
+  template <typename V, typename... S>
+  static constexpr void Fields(V&& v, S&... s) {
+    v(As<uint32_t>(s.epochs)...);
+    v(s.events...);
+  }
+};
+
+// The engine's clocks at a drained boundary. Everything else there (link busy
+// and arrival clamps, in-flight reliable sends, event sequence numbers) equals
+// a fresh engine's, so the clocks are the only engine state on the wire.
+struct EngineClocks {
+  struct Partition {
+    TimeNs now = 0;
+    uint32_t next_token = 0;  // the partition's cancellable-token counter
+
+    template <typename V, typename... S>
+    static constexpr void Fields(V&& v, S&... s) {
+      v(s.now...);
+      v(s.next_token...);
+    }
+  };
+  std::vector<Partition> partitions;  // the parallel engine's, one per partition
+  std::vector<TimeNs> serial;         // the serial engine's one clock
+
+  template <typename V, typename... S>
+  static constexpr void Fields(V&& v, S&... s) {
+    v(s.partitions...);
+    v(s.serial...);
+  }
+
+  // The clocks of whichever engine is non-null; a fresh engine's give a
+  // loader the shape to read into.
+  static EngineClocks Of(const EventLoop* loop, ParallelEventLoop* ploop);
+  // A loader refuses these: AdvanceTo aborts on a time regression.
+  bool AnyNegative() const;
+  void Restore(EventLoop* loop, ParallelEventLoop* ploop) const;
+};
 
 // Per-shard transport stats: one (fabric, retry, rpc) triple per sending
 // node in parallel mode, a single triple (the global blocks) in serial mode.

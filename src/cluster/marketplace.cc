@@ -139,6 +139,23 @@ struct VmRun {
   bool home_done = false;     // all streams drained (home's ground truth)
   TimeNs home_finished = 0;
   int done_attempts = 0;      // done-notify redirect retries so far
+
+  // Saved in part (mkt.vms), in wire order: a wave boundary holds only the
+  // outcome. The static shape comes from the trace; the load rebuilds
+  // home_done, home_finished and home_epoch from the outcome, and a drained
+  // wave leaves the rest at its defaults.
+  static constexpr bool kSavedInPart = true;
+  template <typename V, typename... S>
+  static constexpr void Fields(V&& v, S&... s) {
+    v(As<uint8_t>(s.status)...);
+    v(As<uint8_t>(s.was_delayed)...);
+    v(s.submitted...);
+    v(s.started...);
+    v(s.finished...);
+    v(As<int64_t>(s.home)...);
+    v(As<uint32_t>(s.span)...);
+    v(s.fail_reason...);
+  }
 };
 
 // Per-node runtime owned by that node's partition (the monitor block is
@@ -163,6 +180,16 @@ struct NodeRt {
   NodeId watching = kInvalidNode;
   std::vector<uint8_t> shadow;     // per-VM journal view (VmStatus values)
   std::vector<uint8_t> shadow_up;  // per-node journal view of believed_up
+
+  // Saved in part (mkt.nodes), in wire order. The load rebuilds orch_view and
+  // homed_vms from the VM outcomes and restores orch_since from mkt.fault; the
+  // successor's monitor and shadow start fresh.
+  static constexpr bool kSavedInPart = true;
+  template <typename V, typename... S>
+  static constexpr void Fields(V&& v, S&... s) {
+    v(s.c...);
+    v(s.latency...);
+  }
 };
 
 // Orchestrator outcomes, saved in mkt.orch.
@@ -215,7 +242,9 @@ class Marketplace {
   Marketplace(const MarketplaceOptions& opts, int threads, bool arm_plan);
 
   MarketplaceResult Run(const MarketplaceRunConfig& cfg);
-  bool Load(const std::string& data, std::string* error);
+  // Restores a snapshot into this freshly built marketplace. On failure,
+  // latches the error on the reader; the instance must then be discarded.
+  bool Load(SnapshotReader* r);
 
  private:
   EventLoop* NodeLoop(NodeId node) { return ploop_->partition(node); }
@@ -373,24 +402,15 @@ class Marketplace {
   std::vector<std::pair<TimeNs, uint64_t>> wave_sched_;  // (at, vm), this wave
   std::vector<TimeNs> wave_finish_;
 
-  uint64_t events_ = 0;
-  int completed_waves_ = 0;
+  RunProgress progress_;  // waves and events, counting restored ones too
 };
 
 Marketplace::Marketplace(const MarketplaceOptions& opts, int threads, bool arm_plan)
     : opts_(opts), threads_(threads < 1 ? 1 : threads) {
-  FV_CHECK_GT(opts.num_nodes, 0);
-  FV_CHECK_GT(opts.vcpus_per_node, 0);
-  FV_CHECK_GT(opts.mem_per_node, 0u);
-  FV_CHECK_GE(opts.epochs, 1);
-  FV_CHECK_GT(opts.trace.vms, 0);
-  FV_CHECK_GT(opts.trace.requests_per_vcpu, 0u);
-  // The largest VM must fit the cluster's aggregate at all.
-  FV_CHECK_LE(static_cast<uint64_t>(opts.trace.max_vcpus),
-              static_cast<uint64_t>(opts.num_nodes) * static_cast<uint64_t>(opts.vcpus_per_node));
-
+  if (const char* why = opts.Invalid()) {
+    CheckFailed(__FILE__, __LINE__, why);
+  }
   policy_ = MakePlacementPolicy(opts.policy);
-  FV_CHECK(policy_ != nullptr);
 
   ParallelEventLoop::Options po;
   po.num_partitions = opts.num_nodes;
@@ -416,8 +436,6 @@ Marketplace::Marketplace(const MarketplaceOptions& opts, int threads, bool arm_p
 
   faulty_ = opts.faults.any();
   if (faulty_) {
-    // Wide tokens carry two node ids in 12 bits each.
-    FV_CHECK_LE(opts.num_nodes, 4096);
     plan_ = std::make_unique<FaultPlan>(SplitMix(opts.fault_seed ^ 0xc1a05ull));
     plan_->EnablePerNodeStreams(opts.num_nodes);
     plan_->Schedule(opts.faults, opts.num_nodes);
@@ -449,8 +467,6 @@ Marketplace::Marketplace(const MarketplaceOptions& opts, int threads, bool arm_p
     run.mem_per_slot = a.mem_bytes / static_cast<uint64_t>(a.vcpus);
     run.requests_per_stream = a.requests / static_cast<uint64_t>(a.vcpus);
     run.remote_frac = a.remote_frac;
-    FV_CHECK_LE(run.mem_per_slot, opts.mem_per_node);
-    FV_CHECK_GT(run.requests_per_stream, 0u);
   }
 
   believed_up_.assign(static_cast<size_t>(opts.num_nodes), 1);
@@ -517,7 +533,7 @@ void Marketplace::ScheduleKickoff() {
   });
 }
 
-void Marketplace::RunEngine() { events_ += ploop_->Run(); }
+void Marketplace::RunEngine() { progress_.events += ploop_->Run(); }
 
 bool Marketplace::WaveTerminal(int wave) const {
   const size_t n = arrivals_.size();
@@ -1759,37 +1775,17 @@ std::string Marketplace::Save() {
   SnapshotWriter w;
   w.BeginSection("mkt.run");
   w.U64(ConfigFingerprint());
-  w.U32(static_cast<uint32_t>(completed_waves_));
-  w.U64(events_);
-
+  SaveState(&w, progress_);
   w.BeginSection("mkt.clocks");
-  for (int p = 0; p < opts_.num_nodes; ++p) {
-    w.I64(ploop_->partition(p)->now());
-    w.U32(ploop_->next_cancellable_token(p));
-  }
-
+  SaveState(&w, EngineClocks::Of(nullptr, ploop_.get()));
   w.BeginSection("mkt.orch");
   SaveState(&w, orch_counts_);
-  w.U64(leases_->next_id());
+  SaveState(&w, leases_->next_id());
   SaveState(&w, leases_->stats());
-
   w.BeginSection("mkt.vms");
-  for (const VmRun& run : vms_) {
-    w.U8(static_cast<uint8_t>(run.status));
-    w.U8(run.was_delayed ? 1 : 0);
-    w.I64(run.submitted);
-    w.I64(run.started);
-    w.I64(run.finished);
-    w.I64(run.home);
-    w.U32(static_cast<uint32_t>(run.span));
-    w.U8(run.fail_reason);
-  }
-
+  SaveState(&w, vms_);
   w.BeginSection("mkt.nodes");
-  for (const NodeRt& nr : nodes_) {
-    SaveState(&w, nr.c);
-    SaveState(&w, nr.latency);
-  }
+  SaveState(&w, nodes_);
 
   w.BeginSection("mkt.series");
   for (const TimeSeries* ts : {&consolidation_, &stranded_}) {
@@ -1803,15 +1799,15 @@ std::string Marketplace::Save() {
   if (faulty_) {
     w.BeginSection("mkt.fault");
     SaveState(&w, fault_counts_);
-    w.I64(orch_node_);
+    SaveState(&w, int64_t{orch_node_});
     for (int n = 0; n < opts_.num_nodes; ++n) {
       w.U8(believed_up_[static_cast<size_t>(n)]);
       w.I64(nodes_[static_cast<size_t>(n)].orch_since);
     }
-    SaveHistogram(&w, detection_ns_);
-    SaveHistogram(&w, recovery_ns_);
+    SaveState(&w, detection_ns_);
+    SaveState(&w, recovery_ns_);
     w.U32(static_cast<uint32_t>(wave_finish_.size()));
-    for (const TimeNs t : wave_finish_) w.I64(t);
+    SaveState(&w, wave_finish_);
     SaveFaultPlanState(&w, plan_.get());
   }
 
@@ -1820,180 +1816,122 @@ std::string Marketplace::Save() {
   return w.Finish();
 }
 
-bool Marketplace::Load(const std::string& data, std::string* error) {
-  SnapshotReader r(data);
-  const auto fail = [&r, error]() {
-    if (error != nullptr) *error = r.error();
-    return false;
-  };
-  if (!r.Section("mkt.run")) return fail();
-  const uint64_t fingerprint = r.U64();
-  const uint32_t waves_done = r.U32();
-  const uint64_t events = r.U64();
-  if (!r.ok()) return fail();
+bool Marketplace::Load(SnapshotReader* r) {
+  RunProgress progress;
+  r->Section("mkt.run");
+  const uint64_t fingerprint = r->U64();
+  LoadState(r, &progress);
+  if (!r->ok()) return false;
   if (fingerprint != ConfigFingerprint()) {
-    r.FailExternal("marketplace: snapshot was taken under different MarketplaceOptions");
-    return fail();
+    return r->FailExternal("marketplace: snapshot was taken under different MarketplaceOptions");
   }
-  if (waves_done > static_cast<uint32_t>(opts_.epochs)) {
-    r.FailExternal("marketplace: snapshot claims more completed waves than the run has");
-    return fail();
+  if (progress.epochs < 0 || progress.epochs > opts_.epochs) {
+    return r->FailExternal("marketplace: snapshot claims more completed waves than the run has");
   }
 
-  if (!r.Section("mkt.clocks")) return fail();
-  std::vector<TimeNs> nows;
-  std::vector<uint32_t> tokens;
-  nows.reserve(static_cast<size_t>(opts_.num_nodes));
-  tokens.reserve(static_cast<size_t>(opts_.num_nodes));
-  for (int p = 0; p < opts_.num_nodes; ++p) {
-    nows.push_back(r.I64());
-    tokens.push_back(r.U32());
-  }
-  if (!r.ok()) return fail();
-  for (const TimeNs t : nows) {
-    if (t < 0) {
-      r.FailExternal("marketplace: negative virtual clock");
-      return fail();
+  // Stage every record in the live shapes, which the options fix.
+  EngineClocks clocks = EngineClocks::Of(nullptr, ploop_.get());
+  OrchCounters counts;
+  uint64_t lease_next = 0;
+  LeaseStats lease;
+  std::vector<VmRun> vms = vms_;  // keeps the trace-derived shape
+  std::vector<NodeRt> nodes(nodes_.size());
+  TimeSeries consolidation;
+  TimeSeries stranded;
+  FailoverCounters fault_counts;
+  int64_t orch = 0;
+  std::vector<uint8_t> believed(nodes_.size());
+  Histogram detection;
+  Histogram recovery;
+  std::vector<TimeNs> wave_finish;
+  TransportShards transport;
+  r->Section("mkt.clocks");
+  LoadState(r, &clocks);
+  r->Section("mkt.orch");
+  LoadState(r, &counts);
+  LoadState(r, &lease_next);
+  LoadState(r, &lease);
+  r->Section("mkt.vms");
+  LoadState(r, &vms);
+  r->Section("mkt.nodes");
+  LoadState(r, &nodes);
+  r->Section("mkt.series");
+  for (TimeSeries* ts : {&consolidation, &stranded}) {
+    const uint32_t count = r->U32();
+    for (uint32_t i = 0; r->ok() && i < count; ++i) {
+      const TimeNs t = r->I64();
+      ts->Append(t, r->F64());
     }
   }
-
-  if (!r.Section("mkt.orch")) return fail();
-  OrchCounters staged_counts;
-  LoadState(&r, &staged_counts);
-  const uint64_t lease_next = r.U64();
-  LeaseStats staged_lease;
-  LoadState(&r, &staged_lease);
-  if (!r.ok()) return fail();
-  if (lease_next == kInvalidLease) {
-    r.FailExternal("marketplace: invalid lease id counter");
-    return fail();
-  }
-
-  if (!r.Section("mkt.vms")) return fail();
-  std::vector<VmRun> staged_vms = vms_;  // keep the trace-derived shape
-  for (VmRun& run : staged_vms) {
-    const uint8_t status = r.U8();
-    run.was_delayed = r.U8() != 0;
-    run.submitted = r.I64();
-    run.started = r.I64();
-    run.finished = r.I64();
-    run.home = static_cast<NodeId>(r.I64());
-    run.span = static_cast<int>(r.U32());
-    run.fail_reason = r.U8();
-    if (!r.ok()) return fail();
-    const bool terminal_ok =
-        status == static_cast<uint8_t>(VmStatus::kPending) ||
-        status == static_cast<uint8_t>(VmStatus::kDone) ||
-        (faulty_ && status == static_cast<uint8_t>(VmStatus::kFailed));
-    if (!terminal_ok) {
-      r.FailExternal("marketplace: snapshot holds a live VM (not a wave boundary)");
-      return fail();
+  if (faulty_) {
+    r->Section("mkt.fault");
+    LoadState(r, &fault_counts);
+    LoadState(r, &orch);
+    for (size_t n = 0; n < nodes.size(); ++n) {
+      believed[n] = r->U8();
+      nodes[n].orch_since = r->I64();
     }
-    run.status = static_cast<VmStatus>(status);
-    if (run.status == VmStatus::kDone &&
-        (run.home < 0 || run.home >= opts_.num_nodes || run.span < 1 ||
-         run.span > opts_.num_nodes)) {
-      r.FailExternal("marketplace: VM outcome out of range");
-      return fail();
+    LoadState(r, &detection);
+    LoadState(r, &recovery);
+    const uint32_t stamps = r->U32();
+    if (r->ok() && stamps > static_cast<uint32_t>(progress.epochs)) {
+      return r->FailExternal("marketplace: more wave-finish stamps than completed waves");
+    }
+    wave_finish.resize(stamps);
+    LoadState(r, &wave_finish);
+    LoadFaultPlanState(r, plan_.get());
+  }
+  r->Section("mkt.transport");
+  LoadTransportShards(r, fabric_.get(), &transport);
+  if (!r->AtEnd()) return false;
+
+  // Validate, before any loop sees the clocks: AdvanceTo treats a time
+  // regression as a programming error.
+  if (clocks.AnyNegative()) return r->FailExternal("marketplace: negative virtual clock");
+  if (lease_next == kInvalidLease) return r->FailExternal("marketplace: invalid lease id counter");
+  for (const VmRun& run : vms) {
+    if (run.status != VmStatus::kPending && run.status != VmStatus::kDone &&
+        !(faulty_ && run.status == VmStatus::kFailed)) {
+      return r->FailExternal("marketplace: snapshot holds a live VM (not a wave boundary)");
+    }
+    if (run.status == VmStatus::kDone && (run.home < 0 || run.home >= opts_.num_nodes ||
+                                          run.span < 1 || run.span > opts_.num_nodes)) {
+      return r->FailExternal("marketplace: VM outcome out of range");
     }
     if (run.fail_reason > static_cast<uint8_t>(VmFailReason::kCapacity)) {
-      r.FailExternal("marketplace: VM fail reason out of range");
-      return fail();
+      return r->FailExternal("marketplace: VM fail reason out of range");
     }
   }
-
-  if (!r.Section("mkt.nodes")) return fail();
-  std::vector<NodeRt> staged_nodes(nodes_.size());
-  for (NodeRt& nr : staged_nodes) {
-    LoadState(&r, &nr.c);
-    LoadState(&r, &nr.latency);
+  if (faulty_ &&
+      (orch < 0 || orch >= opts_.num_nodes || believed[static_cast<size_t>(orch)] == 0)) {
+    return r->FailExternal("marketplace: snapshot orchestrator is not a believed-up node");
   }
-  if (!r.ok()) return fail();
-
-  if (!r.Section("mkt.series")) return fail();
-  TimeSeries staged_consol;
-  TimeSeries staged_stranded;
-  for (TimeSeries* ts : {&staged_consol, &staged_stranded}) {
-    const uint32_t count = r.U32();
-    if (!r.ok()) return fail();
-    for (uint32_t i = 0; i < count; ++i) {
-      const TimeNs t = r.I64();
-      const double v = r.F64();
-      if (!r.ok()) return fail();
-      ts->Append(t, v);
-    }
-  }
-
-  FailoverCounters staged_fault;
-  int64_t staged_orch = 0;
-  std::vector<uint8_t> staged_believed;
-  std::vector<TimeNs> staged_since;
-  Histogram staged_detect;
-  Histogram staged_recover;
-  std::vector<TimeNs> staged_wf;
-  if (faulty_) {
-    if (!r.Section("mkt.fault")) return fail();
-    LoadState(&r, &staged_fault);
-    staged_orch = r.I64();
-    for (int n = 0; n < opts_.num_nodes; ++n) {
-      staged_believed.push_back(r.U8());
-      staged_since.push_back(r.I64());
-    }
-    LoadHistogram(&r, &staged_detect);
-    LoadHistogram(&r, &staged_recover);
-    const uint32_t wf = r.U32();
-    if (!r.ok()) return fail();
-    if (wf > waves_done) {
-      r.FailExternal("marketplace: more wave-finish stamps than completed waves");
-      return fail();
-    }
-    for (uint32_t i = 0; i < wf; ++i) staged_wf.push_back(r.I64());
-    LoadFaultPlanState(&r, plan_.get());
-    if (!r.ok()) return fail();
-    if (staged_orch < 0 || staged_orch >= opts_.num_nodes ||
-        staged_believed[static_cast<size_t>(staged_orch)] == 0) {
-      r.FailExternal("marketplace: snapshot orchestrator is not a believed-up node");
-      return fail();
-    }
-  }
-
-  if (!r.Section("mkt.transport")) return fail();
-  TransportShards staged_transport;
-  LoadTransportShards(&r, fabric_.get(), &staged_transport);
-  if (!r.AtEnd()) return fail();
 
   // Commit.
-  for (int p = 0; p < opts_.num_nodes; ++p) {
-    ploop_->partition(p)->AdvanceTo(nows[static_cast<size_t>(p)]);
-    ploop_->RestoreCancellableToken(p, tokens[static_cast<size_t>(p)]);
-  }
-  vms_ = std::move(staged_vms);
-  nodes_ = std::move(staged_nodes);
-  consolidation_ = std::move(staged_consol);
-  stranded_ = std::move(staged_stranded);
-  orch_counts_ = staged_counts;
+  clocks.Restore(nullptr, ploop_.get());
+  vms_ = std::move(vms);
+  nodes_ = std::move(nodes);
+  consolidation_ = std::move(consolidation);
+  stranded_ = std::move(stranded);
+  orch_counts_ = counts;
   leases_->RestoreNextId(lease_next);
-  *leases_->mutable_stats() = staged_lease;
-  CommitTransportShards(staged_transport, fabric_.get(), rpc_.get());
-  completed_waves_ = static_cast<int>(waves_done);
-  events_ = events;
+  *leases_->mutable_stats() = lease;
+  CommitTransportShards(transport, fabric_.get(), rpc_.get());
+  progress_ = progress;
 
   if (faulty_) {
-    fault_counts_ = staged_fault;
-    orch_node_ = static_cast<NodeId>(staged_orch);
+    fault_counts_ = fault_counts;
+    orch_node_ = static_cast<NodeId>(orch);
     leases_->FailoverReset(orch_node_);
-    *leases_->mutable_stats() = staged_lease;  // the reset bumped failover_cleared
-    for (int n = 0; n < opts_.num_nodes; ++n) {
-      believed_up_[static_cast<size_t>(n)] = staged_believed[static_cast<size_t>(n)];
-      nodes_[static_cast<size_t>(n)].orch_since = staged_since[static_cast<size_t>(n)];
-    }
-    detection_ns_ = staged_detect;
-    recovery_ns_ = staged_recover;
-    wave_finish_ = std::move(staged_wf);
+    *leases_->mutable_stats() = lease;  // the reset bumped failover_cleared
+    believed_up_ = std::move(believed);
+    detection_ns_ = detection;
+    recovery_ns_ = recovery;
+    wave_finish_ = std::move(wave_finish);
   }
 
   // Rebuild the home-side routing/runtime state the sections don't carry
-  // (fresh staged_nodes have empty homed_vms and default orch_view).
+  // (fresh staged nodes have empty homed_vms and default orch_view).
   for (NodeRt& nr : nodes_) nr.orch_view = orch_node_;
   for (size_t i = 0; i < vms_.size(); ++i) {
     VmRun& run = vms_[i];
@@ -2003,12 +1941,6 @@ bool Marketplace::Load(const std::string& data, std::string* error) {
     run.home_epoch = run.started;
     nodes_[static_cast<size_t>(run.home)].homed_vms.push_back(i + 1);  // ascending by construction
   }
-  successor_ = kInvalidNode;
-  beats_active_ = probes_active_ = false;
-  takeover_active_ = false;
-  takeover_crash_t_ = -1;
-  takeover_reports_.clear();
-  deferred_dones_.clear();
   return true;
 }
 
@@ -2046,7 +1978,7 @@ uint64_t Marketplace::Digest() const {
 }
 
 MarketplaceResult Marketplace::Run(const MarketplaceRunConfig& cfg) {
-  for (int wave = completed_waves_; wave < opts_.epochs; ++wave) {
+  for (int wave = progress_.epochs; wave < opts_.epochs; ++wave) {
     BuildWaveSchedule(wave);
     if (faulty_ && !wave_sched_.empty()) {
       WavePrep();
@@ -2068,8 +2000,8 @@ MarketplaceResult Marketplace::Run(const MarketplaceRunConfig& cfg) {
     }
     CheckWaveDrained(wave);
     wave_finish_.push_back(ploop_->now_max());
-    completed_waves_ = wave + 1;
-    if (cfg.snapshot_out != nullptr && completed_waves_ == cfg.snapshot_epoch) {
+    progress_.epochs = wave + 1;
+    if (cfg.snapshot_out != nullptr && progress_.epochs == cfg.snapshot_epoch) {
       *cfg.snapshot_out = Save();
     }
   }
@@ -2106,7 +2038,7 @@ MarketplaceResult Marketplace::Run(const MarketplaceRunConfig& cfg) {
   r.consolidation = consolidation_;
   r.stranded = stranded_;
   r.finish_time = ploop_->now_max();
-  r.events_dispatched = events_;
+  r.events_dispatched = progress_.events;
   r.state_digest = Digest();
   r.fabric = fabric_->MergedStats();
   r.rpc = rpc_->MergedStats();
@@ -2137,6 +2069,29 @@ MarketplaceResult Marketplace::Run(const MarketplaceRunConfig& cfg) {
 
 }  // namespace
 
+const char* MarketplaceOptions::Invalid() const {
+  if (num_nodes < 1) return "nodes (num_nodes) must be at least 1";
+  // Wide control tokens carry two node ids in 12 bits each.
+  if (faults.any() && num_nodes > 4096) {
+    return "nodes (num_nodes) must be at most 4096 with a fault schedule";
+  }
+  if (vcpus_per_node < 1) return "vcpus_per_node must be at least 1";
+  if (mem_per_node == 0) return "mem_gb (mem_per_node) must be above 0";
+  if (MakePlacementPolicy(policy) == nullptr) return "policy must be fragbff or harvest";
+  if (epochs < 1) return "epochs must be at least 1";
+  if (trace.vms < 1) return "vms (trace.vms) must be at least 1";
+  if (trace.requests_per_vcpu == 0) return "requests (trace.requests_per_vcpu) must be at least 1";
+  // The largest VM must fit the cluster's aggregate, and each slot a node.
+  if (static_cast<uint64_t>(trace.max_vcpus) >
+      static_cast<uint64_t>(num_nodes) * static_cast<uint64_t>(vcpus_per_node)) {
+    return "max_vcpus (trace.max_vcpus) must be at most nodes x vcpus_per_node";
+  }
+  if (trace.mem_per_vcpu > mem_per_node) {
+    return "mem_per_vcpu_mb (trace.mem_per_vcpu) must be at most mem_gb";
+  }
+  return nullptr;
+}
+
 const char* VmFailReasonName(VmFailReason reason) {
   switch (reason) {
     case VmFailReason::kNone: return "none";
@@ -2162,13 +2117,13 @@ MarketplaceResult RunMarketplaceEx(const MarketplaceOptions& opts, int threads,
   // of them (dsmstorm's resume follows the same rule).
   Marketplace mkt(opts, threads, /*arm_plan=*/cfg.snapshot_in == nullptr);
   if (cfg.snapshot_in != nullptr) {
-    std::string err;
-    if (!mkt.Load(*cfg.snapshot_in, &err)) {
+    SnapshotReader r(*cfg.snapshot_in);
+    if (!mkt.Load(&r)) {
       if (cfg.error == nullptr) {
-        std::fprintf(stderr, "marketplace snapshot load failed: %s\n", err.c_str());
+        std::fprintf(stderr, "marketplace snapshot load failed: %s\n", r.error().c_str());
         std::abort();
       }
-      *cfg.error = err;
+      *cfg.error = r.error();
       return MarketplaceResult{};
     }
   }

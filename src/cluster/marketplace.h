@@ -92,6 +92,10 @@ struct MarketplaceOptions {
   FaultSchedule faults;
   MarketplaceFailoverOptions failover;
 
+  // The first rule these options break, naming its key, or nullptr. The
+  // marketplace aborts on it; fvsim and scenario_runner refuse it first.
+  const char* Invalid() const;
+
   // Every field's option key (src/sim/options_text.h).
   template <typename V>
   void Visit(V&& v) {

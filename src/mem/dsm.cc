@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "src/sim/check.h"
@@ -17,6 +18,45 @@ constexpr uint64_t kMsgHeaderBytes = 64;
 constexpr uint64_t kPageDataBytes = 4096 + kMsgHeaderBytes;
 constexpr uint64_t kPteDeltaBytes = 256;  // piggybacked page-table delta
 constexpr uint64_t kPageBytes = kPageDataBytes - kMsgHeaderBytes;  // raw 4 KiB payload
+
+// A sparse radix table goes out as its length, its allocated-leaf count, and
+// each allocated leaf's index (ascending) followed by the leaf's record.
+template <typename L>
+void SaveTable(SnapshotWriter* w, const std::vector<std::unique_ptr<L>>& table) {
+  w->U64(table.size());
+  w->U64(table.size() - static_cast<size_t>(std::count(table.begin(), table.end(), nullptr)));
+  for (size_t li = 0; li < table.size(); ++li) {
+    if (table[li] != nullptr) {
+      w->U64(li);
+      SaveState(w, *table[li]);
+    }
+  }
+}
+
+// Stages a table SaveTable wrote; `table_name` and `leaf_name` word the
+// refusals of a table longer than `max_size` and of indexes out of order.
+template <typename L>
+void LoadTable(SnapshotReader* r, uint64_t max_size, const char* table_name,
+               const char* leaf_name, std::vector<std::unique_ptr<L>>* table) {
+  const uint64_t size = r->U64();
+  const uint64_t filled = r->U64();
+  if (r->ok() && (size > max_size || filled > size)) {
+    r->FailExternal(std::string("dsm.engine: ") + table_name +
+                    " shape exceeds the guest address space");
+  }
+  table->resize(r->ok() ? size : 0);
+  for (uint64_t i = 0, prev = 0; r->ok() && i < filled; ++i) {
+    const uint64_t li = r->U64();
+    if (r->ok() && (li >= size || (i > 0 && li <= prev))) {
+      r->FailExternal(std::string("dsm.engine: ") + leaf_name + " indexes out of order");
+    }
+    if (r->ok()) {
+      prev = li;
+      (*table)[li] = std::make_unique<L>();
+      LoadState(r, (*table)[li].get());
+    }
+  }
+}
 
 }  // namespace
 
@@ -141,9 +181,11 @@ void DsmEngine::SetPageClass(PageNum start, uint64_t count, PageClass cls) {
   class_ranges_[start] = {start + count, cls};
 }
 
-PageClass DsmEngine::ClassOf(PageNum page) const {
-  auto it = class_ranges_.upper_bound(page);
-  if (it == class_ranges_.begin()) {
+PageClass DsmEngine::ClassOf(PageNum page) const { return ClassIn(class_ranges_, page); }
+
+PageClass DsmEngine::ClassIn(const ClassRanges& ranges, PageNum page) {
+  auto it = ranges.upper_bound(page);
+  if (it == ranges.begin()) {
     return PageClass::kGuestPrivate;
   }
   --it;
@@ -1363,156 +1405,105 @@ void DsmEngine::RunPageTablePiggyback(PageNum page, Transaction txn) {
       [this, page, txp]() { HandleTxnSendFailure(page, std::move(*txp)); });
 }
 
+const char* DsmEngine::LeafViolation(const Leaf& leaf, size_t li, const ClassRanges& ranges,
+                                     uint64_t* checked) const {
+  const int nodes = options_.num_nodes;
+  // Residency only on pages the directory knows, and only for real nodes.
+  for (int n = 0; n < kMaxNodes; ++n) {
+    for (uint32_t w = 0; w < kLeafWords; ++w) {
+      const uint64_t allowed = n < nodes ? leaf.known[w] : 0;
+      if (((leaf.present[n][w] | leaf.writable[n][w]) & ~allowed) != 0) {
+        return "residency outside the directory";
+      }
+    }
+  }
+  for (uint32_t w = 0; w < kLeafWords; ++w) {
+    // Transient protocol state; only quiescent pages are checked.
+    uint64_t bits = leaf.known[w] & ~leaf.busy[w];
+    while (bits != 0) {
+      const uint32_t i = w * 64 + static_cast<uint32_t>(std::countr_zero(bits));
+      bits &= bits - 1;
+      ++*checked;
+      // The range first: Bit() of an owner past 31 shifts past the type.
+      const NodeId owner = leaf.owner[i];
+      if (owner < 0 || owner >= nodes) {
+        return "page owner out of range";
+      }
+      const uint32_t sharers = leaf.sharers[i];
+      if ((sharers & Bit(owner)) == 0 || (uint64_t{sharers} >> nodes) != 0) {
+        return "sharer mask without its owner or past num_nodes";
+      }
+      // Delta-replicated classes (contextual DSM): page-table pages receive
+      // piggybacked updates in place, so several nodes may legitimately hold
+      // writable replicas; the same goes for bypassed IO rings.
+      const PageClass cls = ClassIn(ranges, (static_cast<PageNum>(li) << kLeafBits) | i);
+      const bool strict = cls != PageClass::kPageTable && cls != PageClass::kIoRing;
+      for (int n = 0; n < nodes; ++n) {
+        const PageAccess acc = AccessOf(leaf, i, n);
+        if (((sharers & Bit(n)) != 0) != (acc != PageAccess::kNone)) {
+          return "sharer mask disagrees with residency";
+        }
+        if (strict && acc == PageAccess::kWrite && n != owner) {
+          return "writable copy off the owner";
+        }
+      }
+      // Strict classes: a writer excludes all other copies.
+      if (strict && AccessOf(leaf, i, owner) == PageAccess::kWrite && sharers != Bit(owner)) {
+        return "writer shares its page";
+      }
+    }
+  }
+  return nullptr;
+}
+
 uint64_t DsmEngine::CheckInvariants() const {
   uint64_t checked = 0;
   for (size_t li = 0; li < leaves_.size(); ++li) {
-    const Leaf* leaf = leaves_[li].get();
-    if (leaf == nullptr) {
+    if (leaves_[li] == nullptr) {
       continue;
     }
-    for (uint32_t w = 0; w < kLeafWords; ++w) {
-      // Transient protocol state; only quiescent pages are checked.
-      uint64_t bits = leaf->known[w] & ~leaf->busy[w];
-      while (bits != 0) {
-        const uint32_t i = w * 64 + static_cast<uint32_t>(std::countr_zero(bits));
-        bits &= bits - 1;
-        const PageNum page = (static_cast<PageNum>(li) << kLeafBits) | i;
-        ++checked;
-        const NodeId owner = leaf->owner[i];
-        FV_CHECK_NE(owner, kInvalidNode);
-        FV_CHECK((leaf->sharers[i] & Bit(owner)) != 0);
-        const PageClass cls = ClassOf(page);
-        // Delta-replicated classes (contextual DSM): page-table pages receive
-        // piggybacked updates in place, so several nodes may legitimately hold
-        // writable replicas; the same goes for bypassed IO rings.
-        const bool relaxed = cls == PageClass::kPageTable || cls == PageClass::kIoRing;
-        int writers = 0;
-        for (int n = 0; n < options_.num_nodes; ++n) {
-          const PageAccess acc = AccessOf(*leaf, i, n);
-          const bool in_mask = (leaf->sharers[i] & Bit(n)) != 0;
-          if (acc == PageAccess::kNone) {
-            FV_CHECK(!in_mask);
-            continue;
-          }
-          FV_CHECK(in_mask);
-          if (acc == PageAccess::kWrite) {
-            ++writers;
-            if (!relaxed) {
-              FV_CHECK_EQ(n, owner);
-            }
-          }
-        }
-        if (!relaxed) {
-          FV_CHECK_LE(writers, 1);
-          if (writers == 1) {
-            // Strict classes: a writer excludes all other copies.
-            FV_CHECK_EQ(leaf->sharers[i], Bit(owner));
-          }
-        }
-      }
+    if (const char* why = LeafViolation(*leaves_[li], li, class_ranges_, &checked)) {
+      CheckFailed(__FILE__, __LINE__, why);
     }
   }
   return checked;
 }
 
-// Radix leaves go to the wire as raw native-endian array images: snapshots
-// are same-machine artifacts (save on one run, load on another run of the
-// same build), and the bulk arrays dominate the stream. The busy bitmaps are
-// never written — the quiesce check pins them to zero.
 void DsmEngine::SaveState(SnapshotWriter* w) const {
   // Quiesce check: a transaction in flight holds a busy bit and owns a
   // continuation closure no byte stream can hold. Callers snapshot only at
   // drained-queue boundaries, so this is a programming error, not input.
   FV_CHECK(waiters_.empty());
+  for (const auto& leaf : leaves_) {
+    FV_CHECK(leaf == nullptr || std::ranges::all_of(leaf->busy, [](uint64_t b) { return b == 0; }));
+  }
 
   w->BeginSection("dsm.engine");
   w->U32(static_cast<uint32_t>(options_.num_nodes));
   w->U32(static_cast<uint32_t>(options_.home));
   w->U8(options_.owner_hints ? 1 : 0);
   w->U8(options_.compress ? 1 : 0);
-  w->U64(known_pages_);
-
+  // Qualified: the members SaveState and LoadState hide the walks.
+  fragvisor::SaveState(w, known_pages_);
   w->U32(static_cast<uint32_t>(node_faults_.size()));
-  for (const Counter& c : node_faults_) {
-    SaveCounter(w, c);
-  }
-
+  fragvisor::SaveState(w, node_faults_);
   w->U64(class_ranges_.size());
   for (const auto& [start, range] : class_ranges_) {
     w->U64(start);
     w->U64(range.first);
     w->U8(static_cast<uint8_t>(range.second));
   }
-
-  w->U64(leaves_.size());
-  uint64_t populated = 0;
-  for (const auto& leaf : leaves_) {
-    populated += leaf != nullptr ? 1 : 0;
-  }
-  w->U64(populated);
-  for (size_t li = 0; li < leaves_.size(); ++li) {
-    const Leaf* leaf = leaves_[li].get();
-    if (leaf == nullptr) {
-      continue;
-    }
-    for (uint32_t word = 0; word < kLeafWords; ++word) {
-      FV_CHECK_EQ(leaf->busy[word], 0u);
-    }
-    w->U64(li);
-    w->Bytes(leaf->owner.data(), sizeof(leaf->owner));
-    w->Bytes(leaf->sharers.data(), sizeof(leaf->sharers));
-    w->Bytes(leaf->hold_until.data(), sizeof(leaf->hold_until));
-    w->Bytes(leaf->known, sizeof(leaf->known));
-    w->Bytes(leaf->present, sizeof(leaf->present));
-    w->Bytes(leaf->writable, sizeof(leaf->writable));
-    w->Bytes(leaf->dirty, sizeof(leaf->dirty));
-    w->U32(leaf->rm_reads);
-    w->U32(leaf->rm_writes);
-    w->U8(leaf->rm_promoted ? 1 : 0);
-    w->Bytes(leaf->hold_boost.data(), sizeof(leaf->hold_boost));
-    w->Bytes(leaf->stream_next.data(), sizeof(leaf->stream_next));
-    w->Bytes(leaf->stream_run.data(), sizeof(leaf->stream_run));
-  }
-
+  SaveTable(w, leaves_);
   w->U32(static_cast<uint32_t>(hints_.size()));
   for (const auto& per_node : hints_) {
-    w->U64(per_node.size());
-    uint64_t filled = 0;
-    for (const auto& h : per_node) {
-      filled += h != nullptr ? 1 : 0;
-    }
-    w->U64(filled);
-    for (size_t li = 0; li < per_node.size(); ++li) {
-      if (per_node[li] == nullptr) {
-        continue;
-      }
-      w->U64(li);
-      w->Bytes(per_node[li]->pred.data(), sizeof(per_node[li]->pred));
-    }
+    SaveTable(w, per_node);
   }
-
-  w->U64(delta_.size());
-  uint64_t delta_filled = 0;
-  for (const auto& d : delta_) {
-    delta_filled += d != nullptr ? 1 : 0;
-  }
-  w->U64(delta_filled);
-  for (size_t li = 0; li < delta_.size(); ++li) {
-    if (delta_[li] == nullptr) {
-      continue;
-    }
-    w->U64(li);
-    w->Bytes(delta_[li]->version.data(), sizeof(delta_[li]->version));
-    w->Bytes(delta_[li]->last.data(), sizeof(delta_[li]->last));
-  }
-
-  fragvisor::SaveState(w, stats_);  // qualified: this member hides the walk
+  SaveTable(w, delta_);
+  fragvisor::SaveState(w, stats_);
 }
 
 bool DsmEngine::LoadState(SnapshotReader* r) {
-  if (!r->Section("dsm.engine")) {
-    return false;
-  }
+  r->Section("dsm.engine");
   const uint32_t num_nodes = r->U32();
   const uint32_t home = r->U32();
   const bool had_hints = r->U8() != 0;
@@ -1523,161 +1514,81 @@ bool DsmEngine::LoadState(SnapshotReader* r) {
   if (num_nodes != static_cast<uint32_t>(options_.num_nodes) ||
       home != static_cast<uint32_t>(options_.home) || had_hints != options_.owner_hints ||
       had_compress != options_.compress) {
-    r->FailExternal("dsm.engine: snapshot was taken under a different engine configuration");
-    return false;
+    return r->FailExternal(
+        "dsm.engine: snapshot was taken under a different engine configuration");
   }
 
-  // Stage everything; commit only on a fully clean read.
-  const uint64_t staged_known_pages = r->U64();
-
-  std::vector<Counter> staged_faults;
+  // Stage everything; validate, then commit.
+  uint64_t known_pages = 0;
+  fragvisor::LoadState(r, &known_pages);
   const uint32_t fault_nodes = r->U32();
   if (!r->ok() || fault_nodes != num_nodes) {
-    r->FailExternal("dsm.engine: per-node fault counter width mismatch");
-    return false;
+    return r->FailExternal("dsm.engine: per-node fault counter width mismatch");
   }
-  staged_faults.resize(fault_nodes);
-  for (uint32_t n = 0; n < fault_nodes; ++n) {
-    LoadCounter(r, &staged_faults[n]);
-  }
-
-  std::map<PageNum, std::pair<PageNum, PageClass>> staged_ranges;
+  std::vector<Counter> faults(fault_nodes);
+  fragvisor::LoadState(r, &faults);
+  ClassRanges ranges;
   const uint64_t num_ranges = r->U64();
   for (uint64_t i = 0; r->ok() && i < num_ranges; ++i) {
     const PageNum start = r->U64();
     const PageNum end = r->U64();
     const uint8_t cls = r->U8();
     if (r->ok() && (cls >= static_cast<uint8_t>(PageClass::kCount) || end <= start)) {
-      r->FailExternal("dsm.engine: malformed class range");
-      return false;
+      return r->FailExternal("dsm.engine: malformed class range");
     }
-    staged_ranges[start] = {end, static_cast<PageClass>(cls)};
+    ranges[start] = {end, static_cast<PageClass>(cls)};
   }
-
   constexpr uint64_t kMaxLeaves = kMaxPages >> kLeafBits;
-  const uint64_t root_size = r->U64();
-  const uint64_t populated = r->U64();
-  if (!r->ok()) {
-    return false;
-  }
-  if (root_size > kMaxLeaves || populated > root_size) {
-    r->FailExternal("dsm.engine: leaf table shape exceeds the guest address space");
-    return false;
-  }
-  std::vector<std::unique_ptr<Leaf>> staged_leaves(static_cast<size_t>(root_size));
-  uint64_t prev_index = 0;
-  for (uint64_t i = 0; r->ok() && i < populated; ++i) {
-    const uint64_t li = r->U64();
-    if (!r->ok()) {
-      break;
-    }
-    if (li >= root_size || (i > 0 && li <= prev_index)) {
-      r->FailExternal("dsm.engine: leaf indexes out of order");
-      return false;
-    }
-    prev_index = li;
-    auto leaf = std::make_unique<Leaf>();
-    r->BytesInto(leaf->owner.data(), sizeof(leaf->owner));
-    r->BytesInto(leaf->sharers.data(), sizeof(leaf->sharers));
-    r->BytesInto(leaf->hold_until.data(), sizeof(leaf->hold_until));
-    r->BytesInto(leaf->known, sizeof(leaf->known));
-    r->BytesInto(leaf->present, sizeof(leaf->present));
-    r->BytesInto(leaf->writable, sizeof(leaf->writable));
-    r->BytesInto(leaf->dirty, sizeof(leaf->dirty));
-    leaf->rm_reads = r->U32();
-    leaf->rm_writes = r->U32();
-    leaf->rm_promoted = r->U8() != 0;
-    r->BytesInto(leaf->hold_boost.data(), sizeof(leaf->hold_boost));
-    r->BytesInto(leaf->stream_next.data(), sizeof(leaf->stream_next));
-    r->BytesInto(leaf->stream_run.data(), sizeof(leaf->stream_run));
-    staged_leaves[static_cast<size_t>(li)] = std::move(leaf);
-  }
-
-  std::vector<std::vector<std::unique_ptr<HintLeaf>>> staged_hints;
+  std::vector<std::unique_ptr<Leaf>> leaves;
+  LoadTable(r, kMaxLeaves, "leaf table", "leaf", &leaves);
   const uint32_t hint_nodes = r->U32();
+  if (r->ok() && hint_nodes != (had_hints ? num_nodes : 0)) {
+    return r->FailExternal("dsm.engine: hint table width mismatch");
+  }
+  std::vector<std::vector<std::unique_ptr<HintLeaf>>> hints(hint_nodes);
+  for (auto& per_node : hints) {
+    LoadTable(r, kMaxLeaves, "hint table", "hint leaf", &per_node);
+  }
+  std::vector<std::unique_ptr<DeltaLeaf>> delta;
+  LoadTable(r, kMaxLeaves, "version table", "version leaf", &delta);
+  DsmStats stats;
+  fragvisor::LoadState(r, &stats);
   if (!r->ok()) {
     return false;
   }
-  if (hint_nodes != (had_hints ? num_nodes : 0)) {
-    r->FailExternal("dsm.engine: hint table width mismatch");
-    return false;
+
+  // Validate: a directory that would trip CheckInvariants, or send to a node
+  // that does not exist, is refused here rather than aborting the run later.
+  if (stats.txn_retries.num_nodes() != options_.num_nodes ||
+      stats.txn_absorbed.num_nodes() != options_.num_nodes ||
+      stats.write_aborts.num_nodes() != options_.num_nodes) {
+    return r->FailExternal("dsm.engine: retry counter width mismatch");
   }
-  staged_hints.resize(hint_nodes);
-  for (uint32_t n = 0; r->ok() && n < hint_nodes; ++n) {
-    const uint64_t vec_size = r->U64();
-    const uint64_t filled = r->U64();
-    if (!r->ok()) {
-      return false;
+  uint64_t pages = 0;
+  for (size_t li = 0; li < leaves.size(); ++li) {
+    const char* why = leaves[li] != nullptr ? LeafViolation(*leaves[li], li, ranges, &pages)
+                                            : nullptr;
+    if (why != nullptr) {
+      return r->FailExternal(std::string("dsm.engine: ") + why);
     }
-    if (vec_size > kMaxLeaves || filled > vec_size) {
-      r->FailExternal("dsm.engine: hint table shape exceeds the guest address space");
-      return false;
-    }
-    staged_hints[n].resize(static_cast<size_t>(vec_size));
-    uint64_t prev = 0;
-    for (uint64_t i = 0; r->ok() && i < filled; ++i) {
-      const uint64_t li = r->U64();
-      if (!r->ok()) {
-        break;
+  }
+  for (const auto& per_node : hints) {
+    for (const auto& h : per_node) {
+      if (h != nullptr && std::ranges::any_of(h->pred, [this](int16_t p) {
+            return p < -1 || p >= options_.num_nodes;
+          })) {
+        return r->FailExternal("dsm.engine: owner hint out of range");
       }
-      if (li >= vec_size || (i > 0 && li <= prev)) {
-        r->FailExternal("dsm.engine: hint leaf indexes out of order");
-        return false;
-      }
-      prev = li;
-      auto h = std::make_unique<HintLeaf>();
-      r->BytesInto(h->pred.data(), sizeof(h->pred));
-      staged_hints[n][static_cast<size_t>(li)] = std::move(h);
     }
   }
 
-  std::vector<std::unique_ptr<DeltaLeaf>> staged_delta;
-  const uint64_t delta_size = r->U64();
-  const uint64_t delta_filled = r->U64();
-  if (!r->ok()) {
-    return false;
-  }
-  if (delta_size > kMaxLeaves || delta_filled > delta_size) {
-    r->FailExternal("dsm.engine: version table shape exceeds the guest address space");
-    return false;
-  }
-  staged_delta.resize(static_cast<size_t>(delta_size));
-  uint64_t delta_prev = 0;
-  for (uint64_t i = 0; r->ok() && i < delta_filled; ++i) {
-    const uint64_t li = r->U64();
-    if (!r->ok()) {
-      break;
-    }
-    if (li >= delta_size || (i > 0 && li <= delta_prev)) {
-      r->FailExternal("dsm.engine: version leaf indexes out of order");
-      return false;
-    }
-    delta_prev = li;
-    auto d = std::make_unique<DeltaLeaf>();
-    r->BytesInto(d->version.data(), sizeof(d->version));
-    r->BytesInto(d->last.data(), sizeof(d->last));
-    staged_delta[static_cast<size_t>(li)] = std::move(d);
-  }
-
-  DsmStats staged_stats;
-  fragvisor::LoadState(r, &staged_stats);
-  if (!r->ok()) {
-    return false;
-  }
-  if (staged_stats.txn_retries.num_nodes() != options_.num_nodes ||
-      staged_stats.txn_absorbed.num_nodes() != options_.num_nodes ||
-      staged_stats.write_aborts.num_nodes() != options_.num_nodes) {
-    r->FailExternal("dsm.engine: retry counter width mismatch");
-    return false;
-  }
-
-  known_pages_ = staged_known_pages;
-  node_faults_ = std::move(staged_faults);
-  class_ranges_ = std::move(staged_ranges);
-  leaves_ = std::move(staged_leaves);
-  hints_ = std::move(staged_hints);
-  delta_ = std::move(staged_delta);
-  stats_ = std::move(staged_stats);
+  known_pages_ = known_pages;
+  node_faults_ = std::move(faults);
+  class_ranges_ = std::move(ranges);
+  leaves_ = std::move(leaves);
+  hints_ = std::move(hints);
+  delta_ = std::move(delta);
+  stats_ = std::move(stats);
   waiters_.clear();
   return true;
 }

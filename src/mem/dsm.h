@@ -44,12 +44,10 @@
 #include "src/host/cost_model.h"
 #include "src/net/rpc.h"
 #include "src/sim/event_loop.h"
+#include "src/sim/state_io.h"
 #include "src/sim/stats.h"
 
 namespace fragvisor {
-
-class SnapshotReader;
-class SnapshotWriter;
 
 // Guest pseudo-physical page number (GPA >> 12).
 using PageNum = uint64_t;
@@ -296,9 +294,9 @@ class DsmEngine {
   void SaveState(SnapshotWriter* w) const;
 
   // Restores into a freshly constructed engine with identical Options.
-  // Follows the reader's soft-error discipline: on malformed input, returns
-  // false with the error latched on the reader and leaves this engine
-  // untouched (stage-then-commit).
+  // Follows the reader's soft-error discipline: on malformed input, such as a
+  // directory CheckInvariants would reject, returns false with the error
+  // latched on the reader and leaves this engine untouched (stage-then-commit).
   bool LoadState(SnapshotReader* r);
 
   const DsmStats& stats() const { return stats_; }
@@ -360,7 +358,29 @@ class DsmEngine {
       stream_next.fill(kStreamIdle);
       stream_run.fill(0);
     }
+
+    // Saved in part, in wire order: `busy` stays off the wire (the quiesce
+    // check pins it to zero). The arrays go out as native-endian images:
+    // snapshots are same-machine artifacts, and the images dominate them.
+    static constexpr bool kSavedInPart = true;
+    template <typename V, typename... S>
+    static constexpr void Fields(V&& v, S&... s) {
+      v(As<std::byte>(s.owner)...);
+      v(As<std::byte>(s.sharers)...);
+      v(As<std::byte>(s.hold_until)...);
+      v(As<std::byte>(s.known)...);
+      v(As<std::byte>(s.present)...);
+      v(As<std::byte>(s.writable)...);
+      v(As<std::byte>(s.dirty)...);
+      v(s.rm_reads...);
+      v(s.rm_writes...);
+      v(As<uint8_t>(s.rm_promoted)...);
+      v(As<std::byte>(s.hold_boost)...);
+      v(As<std::byte>(s.stream_next)...);
+      v(As<std::byte>(s.stream_run)...);
+    }
   };
+  using ClassRanges = std::map<PageNum, std::pair<PageNum, PageClass>>;
 
   static uint32_t Bit(NodeId n) { return 1u << static_cast<uint32_t>(n); }
   static uint32_t Index(PageNum page) { return static_cast<uint32_t>(page) & (kLeafPages - 1); }
@@ -375,6 +395,12 @@ class DsmEngine {
   Leaf& EnsureLeaf(PageNum page);
   // Ensures the page has a directory entry (first touch seeds at the origin).
   Leaf& EnsurePage(PageNum page);
+
+  static PageClass ClassIn(const ClassRanges& ranges, PageNum page);
+  // The first directory rule leaf `li` breaks, or nullptr; `checked` counts
+  // the pages looked at. CheckInvariants aborts on it, LoadState refuses it.
+  const char* LeafViolation(const Leaf& leaf, size_t li, const ClassRanges& ranges,
+                            uint64_t* checked) const;
 
   PageAccess AccessOf(const Leaf& leaf, uint32_t i, NodeId node) const {
     const auto n = static_cast<size_t>(node);
@@ -405,7 +431,12 @@ class DsmEngine {
   // Owner-hint side table: one lazily allocated int16 leaf per (node, leaf).
   struct HintLeaf {
     std::array<int16_t, kLeafPages> pred;
-    HintLeaf() { pred.fill(-1); }
+    constexpr HintLeaf() { pred.fill(-1); }
+
+    template <typename V, typename... S>
+    static constexpr void Fields(V&& v, S&... s) {
+      v(As<std::byte>(s.pred)...);
+    }
   };
   NodeId HintFor(NodeId node, PageNum page) const;
   // Records `owner` as node's prediction for the page. No-op unless
@@ -419,11 +450,17 @@ class DsmEngine {
   struct DeltaLeaf {
     std::array<uint16_t, kLeafPages> version;
     std::array<std::array<uint16_t, kLeafPages>, kMaxNodes> last;
-    DeltaLeaf() {
+    constexpr DeltaLeaf() {
       version.fill(0);
       for (auto& row : last) {
         row.fill(0);
       }
+    }
+
+    template <typename V, typename... S>
+    static constexpr void Fields(V&& v, S&... s) {
+      v(As<std::byte>(s.version)...);
+      v(As<std::byte>(s.last)...);
     }
   };
   DeltaLeaf* DeltaFor(PageNum page) const;
@@ -515,7 +552,7 @@ class DsmEngine {
   // first transfer. Empty unless compress is on.
   std::vector<std::unique_ptr<DeltaLeaf>> delta_;
   // Ordered class ranges: start -> (end_exclusive, class).
-  std::map<PageNum, std::pair<PageNum, PageClass>> class_ranges_;
+  ClassRanges class_ranges_;
   std::vector<Counter> node_faults_;  // faults initiated by each node
 
   DsmStats stats_;

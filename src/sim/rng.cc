@@ -5,24 +5,9 @@
 namespace fragvisor {
 namespace {
 
-uint64_t SplitMix64(uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ull;
-  uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 }  // namespace
-
-Rng::Rng(uint64_t seed) {
-  uint64_t sm = seed;
-  for (auto& s : s_) {
-    s = SplitMix64(sm);
-  }
-}
 
 uint64_t Rng::NextU64() {
   const uint64_t result = Rotl(s_[1] * 5, 7) * 9;

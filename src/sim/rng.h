@@ -14,7 +14,17 @@ namespace fragvisor {
 
 class Rng {
  public:
-  explicit Rng(uint64_t seed);
+  // SplitMix64 seeding. constexpr, so a record that holds an Rng can be built
+  // at compile time (the field-list checks of src/sim/state_io.h).
+  constexpr explicit Rng(uint64_t seed) {
+    for (auto& s : s_) {
+      seed += 0x9e3779b97f4a7c15ull;
+      uint64_t z = seed;
+      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+      z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+      s = z ^ (z >> 31);
+    }
+  }
 
   // Uniform over [0, 2^64).
   uint64_t NextU64();

@@ -89,7 +89,11 @@ class SnapshotReader {
 
   // Latches a caller-detected semantic error (wrong shape, configuration
   // mismatch) with the same first-error-wins discipline as primitive reads.
-  void FailExternal(const std::string& why) { Fail(why); }
+  // Returns false, so a loader can `return r->FailExternal(...)`.
+  bool FailExternal(const std::string& why) {
+    Fail(why);
+    return false;
+  }
 
  private:
   void Fail(const std::string& why);

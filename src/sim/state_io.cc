@@ -2,7 +2,7 @@
 
 namespace fragvisor {
 
-void SaveRng(SnapshotWriter* w, const Rng& rng) {
+void SaveState(SnapshotWriter* w, const Rng& rng) {
   const Rng::State st = rng.state();
   for (int i = 0; i < 4; ++i) {
     w->U64(st.s[i]);
@@ -11,7 +11,7 @@ void SaveRng(SnapshotWriter* w, const Rng& rng) {
   w->F64(st.cached_normal);
 }
 
-void LoadRng(SnapshotReader* r, Rng* rng) {
+void LoadState(SnapshotReader* r, Rng* rng) {
   Rng::State st;
   for (int i = 0; i < 4; ++i) {
     st.s[i] = r->U64();
@@ -23,9 +23,9 @@ void LoadRng(SnapshotReader* r, Rng* rng) {
   }
 }
 
-void SaveCounter(SnapshotWriter* w, const Counter& c) { w->U64(c.value()); }
+void SaveState(SnapshotWriter* w, const Counter& c) { w->U64(c.value()); }
 
-void LoadCounter(SnapshotReader* r, Counter* c) {
+void LoadState(SnapshotReader* r, Counter* c) {
   const uint64_t v = r->U64();
   if (r->ok()) {
     c->Reset();
@@ -33,14 +33,14 @@ void LoadCounter(SnapshotReader* r, Counter* c) {
   }
 }
 
-void SaveSummary(SnapshotWriter* w, const Summary& s) {
+void SaveState(SnapshotWriter* w, const Summary& s) {
   w->U64(s.count());
   w->F64(s.sum());
   w->F64(s.raw_min());
   w->F64(s.raw_max());
 }
 
-void LoadSummary(SnapshotReader* r, Summary* s) {
+void LoadState(SnapshotReader* r, Summary* s) {
   const uint64_t count = r->U64();
   const double sum = r->F64();
   const double raw_min = r->F64();
@@ -50,14 +50,14 @@ void LoadSummary(SnapshotReader* r, Summary* s) {
   }
 }
 
-void SaveNodeCounterSet(SnapshotWriter* w, const NodeCounterSet& s) {
+void SaveState(SnapshotWriter* w, const NodeCounterSet& s) {
   w->U32(static_cast<uint32_t>(s.num_nodes()));
   for (int n = 0; n < s.num_nodes(); ++n) {
     w->U64(s.value(n));
   }
 }
 
-void LoadNodeCounterSet(SnapshotReader* r, NodeCounterSet* s) {
+void LoadState(SnapshotReader* r, NodeCounterSet* s) {
   const uint32_t nodes = r->U32();
   if (!r->ok()) {
     return;
@@ -74,17 +74,17 @@ void LoadNodeCounterSet(SnapshotReader* r, NodeCounterSet* s) {
   }
 }
 
-void SaveHistogram(SnapshotWriter* w, const Histogram& h) {
-  SaveSummary(w, h.summary());
+void SaveState(SnapshotWriter* w, const Histogram& h) {
+  SaveState(w, h.summary());
   w->U32(static_cast<uint32_t>(Histogram::kBuckets));
   for (int i = 0; i < Histogram::kBuckets; ++i) {
     w->U64(h.bucket(i));
   }
 }
 
-void LoadHistogram(SnapshotReader* r, Histogram* h) {
+void LoadState(SnapshotReader* r, Histogram* h) {
   Summary summary;
-  LoadSummary(r, &summary);
+  LoadState(r, &summary);
   const uint32_t buckets = r->U32();
   if (!r->ok()) {
     return;

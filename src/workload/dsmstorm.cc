@@ -1,5 +1,6 @@
 #include "src/workload/dsmstorm.h"
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -45,6 +46,13 @@ uint64_t PackToken(int64_t gpid, int32_t node, int stream) {
 struct StreamState {
   Rng rng{0};
   int remaining = 0;
+
+  // The field list (src/sim/state_io.h), in snapshot wire order.
+  template <typename V, typename... S>
+  static constexpr void Fields(V&& v, S&... s) {
+    v(s.rng...);
+    v(As<int64_t>(s.remaining)...);
+  }
 };
 
 // Everything below is owned by exactly one node and only ever touched from
@@ -57,6 +65,17 @@ struct NodeState {
   std::vector<uint64_t> version;     // home-side write counts per local page
   std::vector<int32_t> last_reader;  // home-side: last remote reader or -1
   StormCounters c;
+
+  // The field list (src/sim/state_io.h), in snapshot wire order. The vector
+  // lengths come from StormOptions.
+  template <typename V, typename... S>
+  static constexpr void Fields(V&& v, S&... s) {
+    v(s.streams...);
+    v(s.cache...);
+    v(s.version...);
+    v(As<int64_t>(s.last_reader)...);
+    v(s.c...);
+  }
 };
 
 class Storm {
@@ -65,10 +84,10 @@ class Storm {
   StormResult Run(const StormRunConfig& cfg);
 
   // Restores a snapshot taken by a run with identical StormOptions on the
-  // same engine kind. On failure, latches the reader's error into `error`
-  // and returns false; the Storm instance may be partially mutated and must
-  // be discarded (RunStormEx never runs a failed load).
-  bool Load(const std::string& data, std::string* error);
+  // same engine kind. On failure, latches the error on the reader and
+  // returns false; the Storm instance may be partially mutated and must be
+  // discarded (RunStormEx never runs a failed load).
+  bool Load(SnapshotReader* r);
 
  private:
   EventLoop* NodeLoop(int32_t node) {
@@ -98,23 +117,15 @@ class Storm {
   std::unique_ptr<Fabric> fabric_;
   std::unique_ptr<RpcLayer> rpc_;
   std::vector<NodeState> nodes_;
-  uint64_t events_ = 0;        // dispatched so far (incl. restored epochs)
-  int completed_epochs_ = 0;
+  RunProgress progress_;  // counts the epochs a snapshot restored too
 };
 
 Storm::Storm(const StormOptions& opts, int threads, const StormRunConfig& cfg)
     : opts_(opts), threads_(threads) {
-  FV_CHECK_GT(opts.num_nodes, 0);
-  FV_CHECK_GT(opts.streams_per_node, 0);
-  FV_CHECK_GT(opts.accesses_per_stream, 0);
-  FV_CHECK_GT(opts.pages_per_node, 0);
-  FV_CHECK_GE(opts.cache_slots, 0);
-  FV_CHECK_GE(opts.epochs, 1);
+  if (const char* why = opts.Invalid()) {
+    CheckFailed(__FILE__, __LINE__, why);
+  }
   FV_CHECK_GE(threads, 0);
-  // Every field must fit its width in the request token (PackToken).
-  FV_CHECK_LE(opts.streams_per_node, 1 << 8);
-  FV_CHECK_LE(opts.num_nodes, 1 << 16);
-  FV_CHECK_LE(int64_t{opts.num_nodes} * opts.pages_per_node, int64_t{1} << 40);
 
   if (threads > 0) {
     ParallelEventLoop::Options po;
@@ -215,7 +226,7 @@ void Storm::ScheduleEpochKickoffs() {
 }
 
 void Storm::RunEngine() {
-  events_ += ploop_ != nullptr ? ploop_->Run() : serial_->Run();
+  progress_.events += ploop_ != nullptr ? ploop_->Run() : serial_->Run();
 }
 
 void Storm::DoAccess(int32_t node, int stream) {
@@ -369,47 +380,16 @@ std::string Storm::Save() {
   w.BeginSection("storm.run");
   w.U64(ConfigFingerprint());
   w.U8(ploop_ != nullptr ? 1 : 0);
-  w.U32(static_cast<uint32_t>(completed_epochs_));
-  w.U64(events_);
-
-  // Virtual clocks: everything else at the drained boundary (link busy/
-  // arrival clamps, in-flight reliable sends, event sequence numbers) is
-  // provably equivalent to a fresh object's state, so the clocks are the
-  // only engine state on the wire.
+  SaveState(&w, progress_);
   w.BeginSection("storm.clocks");
-  if (ploop_ != nullptr) {
-    for (int p = 0; p < opts_.num_nodes; ++p) {
-      w.I64(ploop_->partition(p)->now());
-      w.U32(ploop_->next_cancellable_token(p));
-    }
-  } else {
-    w.I64(serial_->now());
-  }
-
+  SaveState(&w, EngineClocks::Of(serial_.get(), ploop_.get()));
   w.BeginSection("storm.nodes");
-  for (NodeState& ns : nodes_) {
-    for (StreamState& st : ns.streams) {
-      SaveRng(&w, st.rng);
-      w.I64(st.remaining);
-    }
-    for (const int64_t g : ns.cache) {
-      w.I64(g);
-    }
-    for (const uint64_t v : ns.version) {
-      w.U64(v);
-    }
-    for (const int32_t lr : ns.last_reader) {
-      w.I64(lr);
-    }
-    SaveState(&w, ns.c);
-  }
-
+  SaveState(&w, nodes_);
   // Per-shard transport counters: parallel runs shard stats by sending node
   // and the per-node tables are observable, so the shards round-trip
   // one-for-one (collapsing into shard 0 would survive only merged reads).
   w.BeginSection("storm.transport");
   SaveTransportShards(&w, fabric_.get(), rpc_.get());
-
   w.BeginSection("storm.faults");
   w.U8(plan_ != nullptr ? 1 : 0);
   if (plan_ != nullptr) {
@@ -418,154 +398,86 @@ std::string Storm::Save() {
   return w.Finish();
 }
 
-bool Storm::Load(const std::string& data, std::string* error) {
-  SnapshotReader r(data);
-  const auto fail = [&r, error]() {
-    if (error != nullptr) {
-      *error = r.error();
-    }
+bool Storm::Load(SnapshotReader* r) {
+  RunProgress progress;
+  r->Section("storm.run");
+  const uint64_t fingerprint = r->U64();
+  const bool parallel = r->U8() != 0;
+  LoadState(r, &progress);
+  if (!r->ok()) {
     return false;
-  };
-  if (!r.Section("storm.run")) {
-    return fail();
-  }
-  const uint64_t fingerprint = r.U64();
-  const bool parallel = r.U8() != 0;
-  const uint32_t epochs_done = r.U32();
-  const uint64_t events = r.U64();
-  if (!r.ok()) {
-    return fail();
   }
   if (fingerprint != ConfigFingerprint()) {
-    r.FailExternal("storm: snapshot was taken under different StormOptions");
-    return fail();
+    return r->FailExternal("storm: snapshot was taken under different StormOptions");
   }
   if (parallel != (ploop_ != nullptr)) {
-    r.FailExternal(parallel
-                       ? "storm: snapshot was taken on the parallel engine (use --threads >= 1)"
-                       : "storm: snapshot was taken on the serial engine (use --threads 0)");
-    return fail();
+    return r->FailExternal(
+        parallel ? "storm: snapshot was taken on the parallel engine (use --threads >= 1)"
+                 : "storm: snapshot was taken on the serial engine (use --threads 0)");
   }
-  if (epochs_done > static_cast<uint32_t>(opts_.epochs)) {
-    r.FailExternal("storm: snapshot claims more completed epochs than the run has");
-    return fail();
+  if (progress.epochs < 0 || progress.epochs > opts_.epochs) {
+    return r->FailExternal("storm: snapshot claims more completed epochs than the run has");
   }
 
-  // Clocks are staged and validated before touching any loop: AdvanceTo
-  // treats a time regression as a programming error, so a hostile stream
-  // must be rejected here, not there.
-  if (!r.Section("storm.clocks")) {
-    return fail();
-  }
-  std::vector<TimeNs> nows;
-  std::vector<uint32_t> tokens;
-  if (ploop_ != nullptr) {
-    nows.reserve(static_cast<size_t>(opts_.num_nodes));
-    tokens.reserve(static_cast<size_t>(opts_.num_nodes));
-    for (int p = 0; p < opts_.num_nodes; ++p) {
-      nows.push_back(r.I64());
-      tokens.push_back(r.U32());
-    }
-  } else {
-    nows.push_back(r.I64());
-  }
-  if (!r.ok()) {
-    return fail();
-  }
-  for (const TimeNs t : nows) {
-    if (t < 0) {
-      r.FailExternal("storm: negative virtual clock");
-      return fail();
-    }
-  }
-
-  if (!r.Section("storm.nodes")) {
-    return fail();
-  }
-  std::vector<NodeState> staged(nodes_.size());
-  const int64_t max_gpid =
-      static_cast<int64_t>(opts_.num_nodes) * static_cast<int64_t>(opts_.pages_per_node);
-  for (NodeState& ns : staged) {
-    ns.streams.resize(static_cast<size_t>(opts_.streams_per_node));
-    for (StreamState& st : ns.streams) {
-      LoadRng(&r, &st.rng);
-      st.remaining = static_cast<int>(r.I64());
-      if (r.ok() && (st.remaining < 0 || st.remaining > opts_.accesses_per_stream)) {
-        r.FailExternal("storm: stream progress out of range");
-        return fail();
-      }
-    }
-    ns.cache.resize(static_cast<size_t>(opts_.cache_slots));
-    for (int64_t& g : ns.cache) {
-      g = r.I64();
-      if (r.ok() && (g < -1 || g >= max_gpid)) {
-        r.FailExternal("storm: cached page id out of range");
-        return fail();
-      }
-    }
-    ns.version.resize(static_cast<size_t>(opts_.pages_per_node));
-    for (uint64_t& v : ns.version) {
-      v = r.U64();
-    }
-    ns.last_reader.resize(static_cast<size_t>(opts_.pages_per_node));
-    for (int32_t& lr : ns.last_reader) {
-      lr = static_cast<int32_t>(r.I64());
-      if (r.ok() && (lr < -1 || lr >= opts_.num_nodes)) {
-        r.FailExternal("storm: last-reader node out of range");
-        return fail();
-      }
-    }
-    LoadState(&r, &ns.c);
-  }
-  if (!r.ok()) {
-    return fail();
-  }
-
-  if (!r.Section("storm.transport")) {
-    return fail();
-  }
-  TransportShards staged_transport;
-  LoadTransportShards(&r, fabric_.get(), &staged_transport);
-
-  if (!r.Section("storm.faults")) {
-    return fail();
-  }
-  const bool had_plan = r.U8() != 0;
-  if (r.ok() && had_plan != (plan_ != nullptr)) {
-    r.FailExternal("storm: fault-plan presence mismatch");
-    return fail();
+  // Stage the records in the live shapes, which the options fix.
+  EngineClocks clocks = EngineClocks::Of(serial_.get(), ploop_.get());
+  std::vector<NodeState> nodes = nodes_;
+  TransportShards transport;
+  r->Section("storm.clocks");
+  LoadState(r, &clocks);
+  r->Section("storm.nodes");
+  LoadState(r, &nodes);
+  r->Section("storm.transport");
+  LoadTransportShards(r, fabric_.get(), &transport);
+  r->Section("storm.faults");
+  const bool had_plan = r->U8() != 0;
+  if (r->ok() && had_plan != (plan_ != nullptr)) {
+    return r->FailExternal("storm: fault-plan presence mismatch");
   }
   if (had_plan) {
-    LoadFaultPlanState(&r, plan_.get());
+    LoadFaultPlanState(r, plan_.get());
   }
-  if (!r.AtEnd()) {
-    return fail();
+  if (!r->AtEnd()) {
+    return false;
+  }
+
+  // Validate, before any loop sees the clocks: AdvanceTo treats a time
+  // regression as a programming error.
+  if (clocks.AnyNegative()) {
+    return r->FailExternal("storm: negative virtual clock");
+  }
+  const int64_t pages = int64_t{opts_.num_nodes} * opts_.pages_per_node;
+  for (const NodeState& ns : nodes) {
+    for (const StreamState& st : ns.streams) {
+      if (st.remaining < 0 || st.remaining > opts_.accesses_per_stream) {
+        return r->FailExternal("storm: stream progress out of range");
+      }
+    }
+    if (std::ranges::any_of(ns.cache, [pages](int64_t g) { return g < -1 || g >= pages; })) {
+      return r->FailExternal("storm: cached page id out of range");
+    }
+    if (std::ranges::any_of(ns.last_reader,
+                            [this](int32_t n) { return n < -1 || n >= opts_.num_nodes; })) {
+      return r->FailExternal("storm: last-reader node out of range");
+    }
   }
 
   // Commit. Rng streams inside the fault plan were restored in place above;
   // a failure past that point discards the whole Storm, so partial mutation
   // is unobservable.
-  if (ploop_ != nullptr) {
-    for (int p = 0; p < opts_.num_nodes; ++p) {
-      ploop_->partition(p)->AdvanceTo(nows[static_cast<size_t>(p)]);
-      ploop_->RestoreCancellableToken(p, tokens[static_cast<size_t>(p)]);
-    }
-  } else {
-    serial_->AdvanceTo(nows[0]);
-  }
-  nodes_ = std::move(staged);
-  CommitTransportShards(staged_transport, fabric_.get(), rpc_.get());
-  completed_epochs_ = static_cast<int>(epochs_done);
-  events_ = events;
+  clocks.Restore(serial_.get(), ploop_.get());
+  nodes_ = std::move(nodes);
+  CommitTransportShards(transport, fabric_.get(), rpc_.get());
+  progress_ = progress;
   return true;
 }
 
 StormResult Storm::Run(const StormRunConfig& cfg) {
-  for (int e = completed_epochs_; e < opts_.epochs; ++e) {
+  for (int e = progress_.epochs; e < opts_.epochs; ++e) {
     ScheduleEpochKickoffs();
     RunEngine();
-    completed_epochs_ = e + 1;
-    if (cfg.snapshot_out != nullptr && completed_epochs_ == cfg.snapshot_epoch) {
+    progress_.epochs = e + 1;
+    if (cfg.snapshot_out != nullptr && progress_.epochs == cfg.snapshot_epoch) {
       *cfg.snapshot_out = Save();
     }
   }
@@ -576,7 +488,7 @@ StormResult Storm::Run(const StormRunConfig& cfg) {
     AccumulateState(&r.totals, ns.c);
   }
   r.finish_time = ploop_ != nullptr ? ploop_->now_max() : serial_->now();
-  r.events_dispatched = events_;
+  r.events_dispatched = progress_.events;
   r.state_digest = Digest();
   r.fabric = fabric_->MergedStats();
   r.retry = fabric_->MergedRetryStats();
@@ -595,6 +507,27 @@ StormResult Storm::Run(const StormRunConfig& cfg) {
 
 }  // namespace
 
+const char* StormOptions::Invalid() const {
+  // The node, stream and page bounds are the field widths of the request
+  // token (PackToken).
+  const std::pair<bool, const char*> rules[] = {
+      {num_nodes < 1 || num_nodes > (1 << 16), "nodes (num_nodes) must be between 1 and 65536"},
+      {streams_per_node < 1 || streams_per_node > (1 << 8),
+       "streams (streams_per_node) must be between 1 and 256"},
+      {accesses_per_stream < 1, "accesses (accesses_per_stream) must be at least 1"},
+      {pages_per_node < 1 || int64_t{num_nodes} * pages_per_node > int64_t{1} << 40,
+       "pages (pages_per_node) must be at least 1, and nodes x pages at most 2^40"},
+      {cache_slots < 0, "cache_slots must be at least 0"},
+      {epochs < 1, "epochs must be at least 1"},
+  };
+  for (const auto& [broken, why] : rules) {
+    if (broken) {
+      return why;
+    }
+  }
+  return nullptr;
+}
+
 StormResult RunStorm(const StormOptions& opts, int threads) {
   return RunStormEx(opts, threads, StormRunConfig{});
 }
@@ -606,13 +539,13 @@ StormResult RunStormEx(const StormOptions& opts, int threads, const StormRunConf
   }
   Storm storm(opts, threads, cfg);
   if (cfg.snapshot_in != nullptr) {
-    std::string err;
-    if (!storm.Load(*cfg.snapshot_in, &err)) {
+    SnapshotReader r(*cfg.snapshot_in);
+    if (!storm.Load(&r)) {
       if (cfg.error == nullptr) {
-        std::fprintf(stderr, "storm snapshot load failed: %s\n", err.c_str());
+        std::fprintf(stderr, "storm snapshot load failed: %s\n", r.error().c_str());
         std::abort();
       }
-      *cfg.error = err;
+      *cfg.error = r.error();
       return StormResult{};
     }
   }

@@ -66,6 +66,10 @@ struct StormOptions {
   // RNG streams, seeded from `seed`, on both engines.
   FaultSchedule faults;
 
+  // The first rule these options break, naming its key, or nullptr. The
+  // storm aborts on it; fvsim and scenario_runner refuse it first.
+  const char* Invalid() const;
+
   // Every field's option key (src/sim/options_text.h). A new knob is its
   // field plus one line here.
   template <typename V>

@@ -1,17 +1,25 @@
 // Version-skew and corruption handling for the snapshot container: a bumped
 // format version, a truncated stream, or a bit-flipped byte must fail with a
 // descriptive error and leave the target untouched — never a partial load,
-// never a crash. The fuzz cases mutate real storm and marketplace snapshots
-// with a seeded RNG so every CI run exercises the same mutations.
+// never a crash. The fuzz cases mutate real storm, marketplace and DSM
+// snapshots with a seeded RNG so every CI run exercises the same mutations.
 
+#include <functional>
+#include <memory>
 #include <string>
 
 #include "gtest/gtest.h"
 #include "src/cluster/marketplace.h"
+#include "src/host/cost_model.h"
+#include "src/mem/dsm.h"
+#include "src/net/fabric.h"
+#include "src/net/rpc.h"
+#include "src/sim/event_loop.h"
 #include "src/sim/rng.h"
 #include "src/sim/snapshot.h"
 #include "src/sim/state_io.h"
 #include "src/workload/dsmstorm.h"
+#include "src/workload/goldentrace.h"
 
 namespace fragvisor {
 namespace {
@@ -297,6 +305,176 @@ TEST(SnapshotSkew, MarketplaceWrongOptionsRefused) {
   other.link.one_sided_setup += 1;
   EXPECT_NE(ExpectMarketplaceLoadFails(other, snapshot).find("MarketplaceOptions"),
             std::string::npos);
+}
+
+// The DSM cases load the golden trace's round-150 snapshot into a fresh
+// engine of the trace's shape (4 nodes, 10k pages, prefetch 2) and, when the
+// load is accepted, run the second half of the trace's access mix on it.
+using DsmMutator = std::function<void(DsmEngine::Options&)>;
+
+const DsmMutator kFastPaths = [](DsmEngine::Options& o) {
+  o.owner_hints = true;
+  o.read_mostly_replication = true;
+  o.adaptive_granularity = true;
+  o.compress = true;
+};
+
+std::string DsmSnapshot(const DsmMutator& mutate = nullptr) {
+  std::string snapshot;
+  RunGoldenTrace(nullptr, mutate, true, &snapshot);
+  return snapshot;
+}
+
+class DsmRig {
+ public:
+  static constexpr int kNodes = 4;
+
+  explicit DsmRig(const DsmMutator& mutate = nullptr) {
+    DsmEngine::Options opts;
+    opts.home = 0;
+    opts.num_nodes = kNodes;
+    opts.read_prefetch_pages = 2;
+    if (mutate) {
+      mutate(opts);
+    }
+    dsm_ = std::make_unique<DsmEngine>(&loop_, &rpc_, &costs_, opts);
+  }
+
+  DsmEngine& dsm() { return *dsm_; }
+
+  // The reader's error; empty when the load was accepted.
+  std::string Load(const std::string& snapshot) {
+    SnapshotReader r(snapshot);
+    const bool loaded = dsm_->LoadState(&r);
+    EXPECT_EQ(loaded, r.ok());
+    if (!loaded) {
+      EXPECT_EQ(dsm_->known_pages(), 0u) << "a refused load touched the engine";
+    }
+    return r.error();
+  }
+
+  // Rounds 150 to 300 of the trace's mix (reseed at round 200); returns the
+  // pages CheckInvariants checked, which aborts on a broken directory.
+  uint64_t RunSecondHalf() {
+    Rng rng(0xC0FFEE);
+    uint64_t retired = 0;
+    for (int round = 150; round < 300; ++round) {
+      for (int i = 0; i < 100; ++i) {
+        const NodeId node = static_cast<NodeId>(rng.UniformInt(0, kNodes - 1));
+        const PageNum page = static_cast<PageNum>(rng.UniformInt(0, 9999));
+        if (dsm_->Access(node, page, rng.Chance(0.35), [&retired] { ++retired; })) {
+          ++retired;
+        }
+      }
+      loop_.Run();
+      if (round == 200) {
+        dsm_->ReseedOwnedBy(1, 0);
+      }
+    }
+    EXPECT_EQ(retired, 15000u) << "an access never retired";
+    return dsm_->CheckInvariants();
+  }
+
+ private:
+  EventLoop loop_;
+  Fabric fabric_{&loop_, kNodes, LinkParams::InfiniBand56G()};
+  RpcLayer rpc_{&loop_, &fabric_};
+  CostModel costs_ = CostModel::Default();
+  std::unique_ptr<DsmEngine> dsm_;
+};
+
+TEST(SnapshotSkew, DsmRoundTripIntoAFreshEngineRuns) {
+  DsmRig rig;
+  EXPECT_EQ(rig.Load(DsmSnapshot()), "");
+  EXPECT_EQ(rig.RunSecondHalf(), 10000u);
+}
+
+TEST(SnapshotSkew, DsmTruncationsAllRefused) {
+  const std::string snapshot = DsmSnapshot();
+  for (const size_t keep :
+       {size_t{0}, size_t{5}, size_t{12}, size_t{60}, snapshot.size() / 2, snapshot.size() - 1}) {
+    DsmRig rig;
+    EXPECT_NE(rig.Load(snapshot.substr(0, keep)), "") << "kept " << keep << " bytes";
+  }
+}
+
+TEST(SnapshotSkew, DsmSeededBitFlipsAllRefused) {
+  const std::string snapshot = DsmSnapshot();
+  Rng rng(0xD15C0);
+  for (int trial = 0; trial < 64; ++trial) {
+    std::string mutated = snapshot;
+    const size_t at = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(mutated.size()) - 1));
+    mutated[at] = static_cast<char>(mutated[at] ^ (1 << rng.UniformInt(0, 7)));
+    EXPECT_FALSE(SnapshotReader(mutated).ok()) << "flip at " << at << " slipped past the checksum";
+    DsmRig rig;
+    EXPECT_NE(rig.Load(mutated), "") << "flip at " << at;
+  }
+}
+
+TEST(SnapshotSkew, DsmWrongEngineRefused) {
+  const std::string snapshot = DsmSnapshot();
+  const DsmMutator others[] = {
+      [](DsmEngine::Options& o) { o.num_nodes = 3; },
+      [](DsmEngine::Options& o) { o.home = 1; },
+      [](DsmEngine::Options& o) { o.owner_hints = true; },
+      [](DsmEngine::Options& o) { o.compress = true; },
+  };
+  for (const DsmMutator& other : others) {
+    DsmRig rig(other);
+    EXPECT_NE(rig.Load(snapshot).find("different engine configuration"), std::string::npos);
+  }
+}
+
+TEST(SnapshotSkew, DsmLeafIndexOutOfOrderRefused) {
+  // Leaves 0 and 0x1234: the second index is a byte pattern nothing else in
+  // the stream holds, so it can be found and rewound to 0.
+  DsmRig saver;
+  saver.dsm().SeedRange(0, 1, 0);
+  saver.dsm().SeedRange(PageNum{0x1234} << 9, 1, 1);
+  SnapshotWriter w;
+  saver.dsm().SaveState(&w);
+  std::string snapshot = w.Finish();
+  const std::string index("\x34\x12\0\0\0\0\0\0", 8);
+  const size_t at = snapshot.find(index);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(snapshot.rfind(index), at);
+  DsmRig intact;
+  EXPECT_EQ(intact.Load(snapshot), "");
+  snapshot[at] = snapshot[at + 1] = 0;
+  DsmRig rig;
+  EXPECT_NE(rig.Load(Reseal(snapshot)).find("leaf indexes out of order"), std::string::npos);
+}
+
+// A resealed flip reaches the semantic checks. One that would break the
+// directory (an owner, a sharer mask, a residency bit) must be refused; one
+// the checks cannot tell from real state (a hold time, a counter) loads and
+// must then run the second half to a clean CheckInvariants.
+void ExpectResealedFlipsRefusedOrHarmless(const DsmMutator& mutate) {
+  const std::string snapshot = DsmSnapshot(mutate);
+  Rng rng(0xBADC0DE);
+  int refused = 0;
+  for (int trial = 0; trial < 48; ++trial) {
+    std::string mutated = snapshot;
+    const size_t at = static_cast<size_t>(
+        rng.UniformInt(12, static_cast<int64_t>(mutated.size()) - 9));
+    mutated[at] = static_cast<char>(mutated[at] ^ 0xff);
+    DsmRig rig(mutate);
+    if (!rig.Load(Reseal(mutated)).empty()) {
+      ++refused;
+      continue;
+    }
+    EXPECT_EQ(rig.RunSecondHalf(), 10000u) << "byte " << at;
+  }
+  EXPECT_GT(refused, 0);
+}
+
+TEST(SnapshotSkew, DsmResealedCorruptionRefusedOrHarmless) {
+  ExpectResealedFlipsRefusedOrHarmless(nullptr);
+}
+
+TEST(SnapshotSkew, DsmWithFastPathsResealedCorruptionRefusedOrHarmless) {
+  ExpectResealedFlipsRefusedOrHarmless(kFastPaths);
 }
 
 }  // namespace

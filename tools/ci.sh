@@ -89,6 +89,20 @@ for config in "${configs[@]}"; do
       echo "replay diverged; capture kept at $artifacts/ci_storm_$config.fvcap" >&2
       exit 1
     fi
+    # The same fresh-process resume for a faulted marketplace, saved after
+    # its first wave.
+    echo "=== [$config] fvsim cluster snapshot round trip ==="
+    cluster_flags=(cluster --nodes 16 --vms 40 --trace flash --epochs 2 --threads 2
+                   --fault-drop 0.02 --fault-crash 3@5)
+    "$build_dir/tools/fvsim" "${cluster_flags[@]}" \
+        --snapshot-save "$artifacts/ci_cluster_$config.fvsnap" --snapshot-epoch 1 \
+        --report "$artifacts/ci_cluster_full_$config.txt" >/dev/null
+    "$build_dir/tools/fvsim" "${cluster_flags[@]}" \
+        --snapshot-load "$artifacts/ci_cluster_$config.fvsnap" \
+        --report "$artifacts/ci_cluster_resumed_$config.txt" >/dev/null
+    diff "$artifacts/ci_cluster_full_$config.txt" \
+         "$artifacts/ci_cluster_resumed_$config.txt"
+    echo "fresh-process marketplace resume is byte-identical"
   fi
 
   if [ "$config" = "asan" ] || [ "$config" = "ubsan" ]; then

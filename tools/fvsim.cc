@@ -80,6 +80,16 @@ bool CheckArgs(const KeyValues& kv) {
   return false;
 }
 
+// Refuses storm or cluster options that break a rule of their struct.
+template <typename Options>
+bool CheckOptions(const Options& opts) {
+  if (const char* why = opts.Invalid()) {
+    std::fprintf(stderr, "fvsim: %s\n", why);
+    return false;
+  }
+  return true;
+}
+
 // Parses "fragvisor" | "giantvm" | "overcommit[:P]" (P >= 1) into `setup`.
 bool ParseSystem(const std::string& system, Setup* setup) {
   constexpr std::string_view kPrefix = "overcommit:";
@@ -378,7 +388,7 @@ int RunStormCmd(KeyValues& kv) {
   StormRunConfig cfg;
   SnapshotFiles snapshot;
   snapshot.Read(kv, so.epochs, &cfg);
-  if (!CheckArgs(kv) || !snapshot.Load()) {
+  if (!CheckArgs(kv) || !CheckOptions(so) || !snapshot.Load()) {
     return 2;
   }
   std::unique_ptr<CaptureLog> capture;
@@ -491,7 +501,7 @@ int RunClusterCmd(KeyValues& kv) {
   MarketplaceRunConfig cfg;
   SnapshotFiles snapshot;
   snapshot.Read(kv, mo.epochs, &cfg);
-  if (!CheckArgs(kv) || !snapshot.Load()) {
+  if (!CheckArgs(kv) || !CheckOptions(mo) || !snapshot.Load()) {
     return 2;
   }
 

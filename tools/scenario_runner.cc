@@ -152,9 +152,20 @@ bool ParseFlatJson(const std::string& text, KeyValues* out, std::string* error) 
 
 // --- Scenario kinds -------------------------------------------------------
 
-bool RunStormScenario(KeyValues& p, std::string* report, std::string* error) {
-  StormOptions so;
-  ReadOptions(p, so);
+// Reads a storm or cluster scenario's options; false, with a message, when
+// they break a rule of their struct (the file is unusable).
+template <typename Options>
+bool ReadValidOptions(const std::string& path, KeyValues& p, Options* opts) {
+  ReadOptions(p, *opts);
+  if (const char* why = opts->Invalid()) {
+    std::fprintf(stderr, "%s: %s\n", path.c_str(), why);
+    return false;
+  }
+  return true;
+}
+
+bool RunStormScenario(const StormOptions& so, KeyValues& p, std::string* report,
+                      std::string* error) {
   const int threads = p.Get("threads", 0);
 
   *report = StormReport(RunStorm(so, threads));
@@ -191,9 +202,8 @@ bool RunStormScenario(KeyValues& p, std::string* report, std::string* error) {
   return true;
 }
 
-bool RunClusterScenario(KeyValues& p, std::string* report, std::string* error) {
-  MarketplaceOptions mo;
-  ReadOptions(p, mo);
+bool RunClusterScenario(const MarketplaceOptions& mo, KeyValues& p, std::string* report,
+                        std::string* error) {
   const int threads = p.Get("threads", 1);
 
   *report = MarketplaceReport(RunMarketplace(mo, threads));
@@ -325,14 +335,22 @@ int RunScenarioFile(const std::string& path, bool print_only) {
 
   std::string report;
   bool ok = false;
+  StormOptions so;
+  MarketplaceOptions mo;
   if (kind == "storm") {
-    ok = RunStormScenario(p, &report, &error);
+    if (!ReadValidOptions(path, p, &so)) {
+      return 2;
+    }
+    ok = RunStormScenario(so, p, &report, &error);
   } else if (kind == "golden") {
     ok = RunGoldenScenario(p, &report, &error);
   } else if (kind == "npb") {
     ok = RunNpbScenario(p, &report, &error);
   } else if (kind == "cluster") {
-    ok = RunClusterScenario(p, &report, &error);
+    if (!ReadValidOptions(path, p, &mo)) {
+      return 2;
+    }
+    ok = RunClusterScenario(mo, p, &report, &error);
   } else {
     std::fprintf(stderr, "%s: unknown kind '%s'\n", path.c_str(), kind.c_str());
     return 2;
