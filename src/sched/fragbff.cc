@@ -37,6 +37,47 @@ std::vector<VmRequest> GenerateBurst(Rng& rng, int count, TimeNs span, int max_v
   return burst;
 }
 
+NodeId BestFit(const std::vector<int>& free, int slots) {
+  FV_CHECK_GT(slots, 0);
+  NodeId best = kInvalidNode;
+  for (NodeId n = 0; n < static_cast<NodeId>(free.size()); ++n) {
+    const int f = free[static_cast<size_t>(n)];
+    if (f >= slots && (best == kInvalidNode || f < free[static_cast<size_t>(best)])) {
+      best = n;
+    }
+  }
+  return best;
+}
+
+std::map<NodeId, int> FillFragments(const std::vector<int>& free, int slots, SchedPolicy order) {
+  FV_CHECK_GT(slots, 0);
+  std::vector<NodeId> nodes;
+  for (NodeId n = 0; n < static_cast<NodeId>(free.size()); ++n) {
+    if (free[static_cast<size_t>(n)] > 0) {
+      nodes.push_back(n);
+    }
+  }
+  std::sort(nodes.begin(), nodes.end(), [&](NodeId a, NodeId b) {
+    const int fa = free[static_cast<size_t>(a)];
+    const int fb = free[static_cast<size_t>(b)];
+    if (fa != fb) {
+      return order == SchedPolicy::kMinNodes ? fa > fb : fa < fb;
+    }
+    return a < b;
+  });
+  std::map<NodeId, int> alloc;
+  int needed = slots;
+  for (const NodeId n : nodes) {
+    const int take = std::min(needed, free[static_cast<size_t>(n)]);
+    alloc[n] = take;
+    needed -= take;
+    if (needed == 0) {
+      return alloc;
+    }
+  }
+  return {};
+}
+
 FragBffScheduler::FragBffScheduler(EventLoop* loop, const Config& config)
     : loop_(loop), config_(config) {
   FV_CHECK(loop != nullptr);
@@ -109,16 +150,7 @@ void FragBffScheduler::TryPlace(VmRequest request) {
 }
 
 bool FragBffScheduler::PlaceSingle(ActiveVm& vm) {
-  // Best fit: the node that fits the VM with the least leftover.
-  NodeId best = kInvalidNode;
-  int best_leftover = config_.cpus_per_node + 1;
-  for (NodeId n = 0; n < config_.num_nodes; ++n) {
-    const int leftover = free_[static_cast<size_t>(n)] - vm.request.vcpus;
-    if (leftover >= 0 && leftover < best_leftover) {
-      best = n;
-      best_leftover = leftover;
-    }
-  }
+  const NodeId best = BestFit(free_, vm.request.vcpus);
   if (best == kInvalidNode) {
     return false;
   }
@@ -128,44 +160,11 @@ bool FragBffScheduler::PlaceSingle(ActiveVm& vm) {
 }
 
 bool FragBffScheduler::PlaceAggregate(ActiveVm& vm) {
-  if (total_free_cpus() < vm.request.vcpus) {
-    return false;
+  vm.alloc = FillFragments(free_, vm.request.vcpus, config_.policy);
+  for (const auto& [node, count] : vm.alloc) {
+    free_[static_cast<size_t>(node)] -= count;
   }
-  // Order candidate fragments by policy.
-  std::vector<NodeId> order;
-  for (NodeId n = 0; n < config_.num_nodes; ++n) {
-    if (free_[static_cast<size_t>(n)] > 0) {
-      order.push_back(n);
-    }
-  }
-  std::sort(order.begin(), order.end(), [this](NodeId a, NodeId b) {
-    const int fa = free_[static_cast<size_t>(a)];
-    const int fb = free_[static_cast<size_t>(b)];
-    if (config_.policy == SchedPolicy::kMinNodes) {
-      // Largest fragments first: span as few nodes as possible.
-      if (fa != fb) {
-        return fa > fb;
-      }
-    } else {
-      // Smallest fragments first: consume unusable slivers.
-      if (fa != fb) {
-        return fa < fb;
-      }
-    }
-    return a < b;
-  });
-  int needed = vm.request.vcpus;
-  for (const NodeId n : order) {
-    if (needed == 0) {
-      break;
-    }
-    const int take = std::min(needed, free_[static_cast<size_t>(n)]);
-    free_[static_cast<size_t>(n)] -= take;
-    vm.alloc[n] = take;
-    needed -= take;
-  }
-  FV_CHECK_EQ(needed, 0);
-  return true;
+  return !vm.alloc.empty();
 }
 
 void FragBffScheduler::Depart(int vm_id) {
@@ -179,41 +178,18 @@ void FragBffScheduler::Depart(int vm_id) {
 }
 
 void FragBffScheduler::OnCapacityFreed() {
-  // 1) Serve delayed placements (FIFO).
-  while (!waiting_.empty()) {
-    VmRequest next = waiting_.front();
-    ActiveVm probe;
-    probe.request = next;
-    // Probe without committing: just check capacity.
-    const bool fits_single = [&]() {
-      for (NodeId n = 0; n < config_.num_nodes; ++n) {
-        if (free_[static_cast<size_t>(n)] >= next.vcpus) {
-          return true;
-        }
-      }
-      return false;
-    }();
-    if (!fits_single && total_free_cpus() < next.vcpus) {
-      break;
-    }
+  // 1) Serve delayed placements (FIFO) while the cluster holds the head
+  //    whole or in fragments.
+  while (!waiting_.empty() && total_free_cpus() >= waiting_.front().vcpus) {
+    const VmRequest next = waiting_.front();
     waiting_.pop_front();
     TryPlace(next);
   }
   // 2) Consolidate Aggregate VMs onto freed capacity.
   TryConsolidate();
   // 3) Consolidation may have freed whole nodes for delayed big VMs.
-  while (!waiting_.empty()) {
-    VmRequest next = waiting_.front();
-    bool fits = false;
-    for (NodeId n = 0; n < config_.num_nodes; ++n) {
-      if (free_[static_cast<size_t>(n)] >= next.vcpus) {
-        fits = true;
-        break;
-      }
-    }
-    if (!fits) {
-      break;
-    }
+  while (!waiting_.empty() && BestFit(free_, waiting_.front().vcpus) != kInvalidNode) {
+    const VmRequest next = waiting_.front();
     waiting_.pop_front();
     TryPlace(next);
   }

@@ -12,6 +12,11 @@
 //    migrate only when it reduces overall cluster fragmentation;
 //  * kMinNodes        — minimize the number of nodes an Aggregate VM spans.
 //
+// BFF and FragBFF's aggregation are two kernels over a per-node vector of
+// free slots, BestFit and FillFragments. The scheduler below, the transient
+// study (sched/harvest) and the cluster marketplace's fragbff and harvest
+// policies (cluster/marketplace) all place through them.
+//
 // The scheduler is pure bookkeeping over an event loop; hooks let a bench
 // attach a real AggregateVm to one scheduled VM (the Fig. 14 trace).
 
@@ -46,6 +51,16 @@ enum class SchedPolicy : uint8_t {
 // paper cites (2-4 vCPUs dominate), durations are heavy-tailed, scaled down
 // 100x to ease experiments (as in Sec. 7.3).
 std::vector<VmRequest> GenerateBurst(Rng& rng, int count, TimeNs span, int max_vcpus = 12);
+
+// BFF: the node whose free slots hold `slots` whole most tightly, the lowest
+// id on ties, or kInvalidNode when none does. `free` is indexed by node id.
+NodeId BestFit(const std::vector<int>& free, int slots);
+
+// FragBFF's aggregation: a {node -> slots} allocation of `slots`, taken from
+// the nodes with free slots smallest-first (kMinFragmentation: consume the
+// slivers, keep big blocks whole) or largest-first (kMinNodes: span the
+// fewest nodes), ties to the lowest id. Empty when they hold fewer.
+std::map<NodeId, int> FillFragments(const std::vector<int>& free, int slots, SchedPolicy order);
 
 class FragBffScheduler {
  public:

@@ -48,15 +48,7 @@ void TransientStudy::LoadPrimaries(const std::vector<VmRequest>& primaries, Time
   for (const VmRequest& r : sorted) {
     apply_departures_until(r.arrival);
     // Best fit among nodes that hold it whole; drop otherwise.
-    NodeId best = kInvalidNode;
-    int best_left = cpus_per_node_ + 1;
-    for (NodeId n = 0; n < num_nodes_; ++n) {
-      const int left = free[static_cast<size_t>(n)] - r.vcpus;
-      if (left >= 0 && left < best_left) {
-        best = n;
-        best_left = left;
-      }
-    }
+    const NodeId best = BestFit(free, r.vcpus);
     if (best == kInvalidNode) {
       continue;
     }
