@@ -172,6 +172,26 @@ TEST(MarketplaceTest, SingleVmDegeneratesToWholePlacement) {
   EXPECT_EQ(MarketplaceReport(RunMarketplace(mo, 4)), serial);
 }
 
+TEST(MarketplaceTest, MemoryCapsTheSlotsANodeHosts) {
+  // 2 GiB per node at 1 GiB per vCPU: memory, not the 4 vCPU slots, caps
+  // every node at 2 slots, so a VM of v vCPUs spans at least ceil(v/2) nodes.
+  MarketplaceOptions mo = SmallMarketplace();
+  mo.mem_per_node = 2 * kGiB;
+  mo.trace.mem_per_vcpu = kGiB;
+  for (const char* policy : {"fragbff", "harvest"}) {
+    mo.policy = policy;
+    const MarketplaceResult r = RunMarketplace(mo, 1);
+    EXPECT_EQ(r.vms_completed, static_cast<uint64_t>(mo.trace.vms)) << policy;
+    int capped = 0;  // VMs that 4 vCPU slots alone would have held whole
+    for (const VmOutcome& vm : r.vms) {
+      EXPECT_TRUE(vm.completed) << policy << " vm " << vm.vm;
+      EXPECT_GE(vm.span_nodes, (vm.vcpus + 1) / 2) << policy << " vm " << vm.vm;
+      if (vm.vcpus > 2 && vm.vcpus <= mo.vcpus_per_node) ++capped;
+    }
+    EXPECT_GT(capped, 0) << policy;
+  }
+}
+
 TEST(MarketplaceTest, PoliciesDivergeOnFragmentedClusters) {
   MarketplaceOptions mo = SmallMarketplace();
   mo.policy = "fragbff";

@@ -51,6 +51,45 @@ TEST(GenerateBurstTest, SizeMixFavorsSmallVms) {
   EXPECT_GT(counts[2] + counts[4], counts[8] + counts[12]);
 }
 
+using Alloc = std::map<NodeId, int>;
+
+TEST(PlacementKernelTest, BestFitTakesTheTightestNodeLowestIdOnTies) {
+  EXPECT_EQ(BestFit({5, 3, 8, 3}, 3), 1);  // two exact fits: the lower id
+  EXPECT_EQ(BestFit({5, 4, 8, 4}, 3), 1);  // two equal leftovers: the lower id
+  EXPECT_EQ(BestFit({8, 5, 6}, 5), 1);
+  EXPECT_EQ(BestFit({0, 6, 0}, 6), 1);
+  EXPECT_EQ(BestFit({2, 0, 1}, 3), kInvalidNode);  // fragments never fit whole
+  EXPECT_EQ(BestFit({}, 1), kInvalidNode);
+}
+
+TEST(PlacementKernelTest, FillFragmentsSkipsFullNodes) {
+  for (const SchedPolicy order : {SchedPolicy::kMinFragmentation, SchedPolicy::kMinNodes}) {
+    EXPECT_EQ(FillFragments({0, 2, 0, 3}, 5, order), (Alloc{{1, 2}, {3, 3}}));
+    EXPECT_EQ(FillFragments({0, 4, 0}, 1, order), (Alloc{{1, 1}}));
+  }
+}
+
+TEST(PlacementKernelTest, FillFragmentsOrdersBySizeThenLowestId) {
+  const std::vector<int> free = {3, 1, 3, 2, 1};
+  // Smallest first: nodes 1 and 4 (1 each), then node 3 (2).
+  EXPECT_EQ(FillFragments(free, 4, SchedPolicy::kMinFragmentation),
+            (Alloc{{1, 1}, {4, 1}, {3, 2}}));
+  // Largest first: node 0 (3), then 1 of node 2's equal 3.
+  EXPECT_EQ(FillFragments(free, 4, SchedPolicy::kMinNodes), (Alloc{{0, 3}, {2, 1}}));
+  // Both take a whole cluster's worth exactly.
+  const Alloc all = {{0, 3}, {1, 1}, {2, 3}, {3, 2}, {4, 1}};
+  EXPECT_EQ(FillFragments(free, 10, SchedPolicy::kMinFragmentation), all);
+  EXPECT_EQ(FillFragments(free, 10, SchedPolicy::kMinNodes), all);
+}
+
+TEST(PlacementKernelTest, FillFragmentsIsEmptyWhenFragmentsHoldFewer) {
+  for (const SchedPolicy order : {SchedPolicy::kMinFragmentation, SchedPolicy::kMinNodes}) {
+    EXPECT_TRUE(FillFragments({1, 0, 2}, 4, order).empty());
+    EXPECT_TRUE(FillFragments({0, 0}, 1, order).empty());
+    EXPECT_TRUE(FillFragments({}, 1, order).empty());
+  }
+}
+
 TEST(FragBffTest, SingleVmBestFit) {
   EventLoop loop;
   FragBffScheduler sched(&loop, TestConfig());
