@@ -1408,6 +1408,14 @@ void DsmEngine::RunPageTablePiggyback(PageNum page, Transaction txn) {
 const char* DsmEngine::LeafViolation(const Leaf& leaf, size_t li, const ClassRanges& ranges,
                                      uint64_t* checked) const {
   const int nodes = options_.num_nodes;
+  // Hold boosts only as far as OwnershipHold raises them: a nonzero boost
+  // keeps base << boost within the ceiling (tested without that shift).
+  const TimeNs base = costs_->dsm_ownership_hold;
+  for (const uint8_t boost : leaf.hold_boost) {
+    if (boost != 0 && (boost >= 63 || (costs_->dsm_ownership_hold_max >> boost) < base)) {
+      return "hold boost past dsm_ownership_hold_max";
+    }
+  }
   // Residency only on pages the directory knows, and only for real nodes.
   for (int n = 0; n < kMaxNodes; ++n) {
     for (uint32_t w = 0; w < kLeafWords; ++w) {

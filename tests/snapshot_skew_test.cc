@@ -446,6 +446,42 @@ TEST(SnapshotSkew, DsmLeafIndexOutOfOrderRefused) {
   EXPECT_NE(rig.Load(Reseal(snapshot)).find("leaf indexes out of order"), std::string::npos);
 }
 
+TEST(SnapshotSkew, DsmHoldBoostPastTheCeilingRefused) {
+  // An adaptive engine doubles a page's ownership hold only while the
+  // doubled hold stays within dsm_ownership_hold_max (45 us << 3 = 360 us by
+  // default). A larger boost is corruption; from 64 on, the next write grant
+  // would shift the hold past the width of TimeNs.
+  const DsmMutator adaptive = [](DsmEngine::Options& o) { o.adaptive_granularity = true; };
+  DsmRig saver(adaptive);
+  saver.dsm().SeedRange(PageNum{0x1234} << 9, 1, 1);
+  SnapshotWriter w;
+  saver.dsm().SaveState(&w);
+  const std::string snapshot = w.Finish();
+  const size_t at = snapshot.find(std::string("\x34\x12\0\0\0\0\0\0", 8));
+  ASSERT_NE(at, std::string::npos);
+  // The leaf record after its index: the 512-page owner, sharers and
+  // hold_until images, the known bitmap, the 32-node present, writable and
+  // dirty bitmaps, rm_reads, rm_writes and rm_promoted, then hold_boost and
+  // the 32 idle (0xffff) stream_next entries.
+  const size_t boost = at + 8 + 512 * (2 + 4 + 8) + 8 * 8 * (1 + 3 * 32) + 4 + 4 + 1;
+  ASSERT_EQ(snapshot.substr(boost + 512, 64), std::string(64, '\xff'));
+  ASSERT_EQ(snapshot.substr(boost, 512), std::string(512, '\0'));
+  for (const size_t page : {size_t{0}, size_t{5}}) {  // a known page, an unknown one
+    for (const int value : {1, 3, 4, 63, 64, 200}) {
+      std::string mutated = snapshot;
+      mutated[boost + page] = static_cast<char>(value);
+      DsmRig rig(adaptive);
+      const std::string error = rig.Load(Reseal(mutated));
+      if (value <= 3) {
+        EXPECT_EQ(error, "") << "page " << page << " boost " << value;
+      } else {
+        EXPECT_NE(error.find("hold boost past dsm_ownership_hold_max"), std::string::npos)
+            << "page " << page << " boost " << value << ": " << error;
+      }
+    }
+  }
+}
+
 // A resealed flip reaches the semantic checks. One that would break the
 // directory (an owner, a sharer mask, a residency bit) must be refused; one
 // the checks cannot tell from real state (a hold time, a counter) loads and
