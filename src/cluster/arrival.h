@@ -58,6 +58,11 @@ struct ArrivalTraceOptions {
   uint64_t mem_per_vcpu = 1ull << 30;  // 1 GiB
   uint64_t requests_per_vcpu = 2000;
   double remote_frac = 0.35;  // mean; per-VM values jitter around it
+
+  // The first rule these options break, naming its marketplace option key,
+  // or nullptr. GenerateArrivalTrace aborts on it; MarketplaceOptions::
+  // Invalid returns it.
+  const char* Invalid() const;
 };
 
 // Generates the trace: `vms` arrivals sorted by (time, vm).

@@ -391,6 +391,10 @@ int RunStormCmd(KeyValues& kv) {
   if (!CheckArgs(kv) || !CheckOptions(so) || !snapshot.Load()) {
     return 2;
   }
+  if (threads < 0) {
+    std::fprintf(stderr, "fvsim: threads must be at least 0 (0 = the serial engine)\n");
+    return 2;
+  }
   std::unique_ptr<CaptureLog> capture;
   if (!capture_path.empty()) {
     capture = std::make_unique<CaptureLog>(so.num_nodes);
