@@ -5,18 +5,10 @@
 #include <vector>
 
 #include "src/sim/check.h"
+#include "src/sim/rng.h"
 
 namespace fragvisor {
 namespace {
-
-// splitmix64 — the campaign derives all schedule randomness from (mode,
-// seed) through this, independent of any global RNG state.
-uint64_t Mix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 // Fault-free horizon of the base configuration: fault instants are placed
 // as fractions of it so schedules land mid-wave regardless of scale. The
@@ -45,12 +37,14 @@ MarketplaceOptions MakeChaosRun(const MarketplaceOptions& base, ChaosMode mode, 
   const int n = base.num_nodes;
   FV_CHECK_GE(n, 2);
   MarketplaceOptions run = base;
-  run.fault_seed = Mix(seed ^ (static_cast<uint64_t>(mode) << 32));
+  // All schedule randomness derives from (mode, seed), independent of any
+  // global RNG state.
+  run.fault_seed = SplitMix64(seed ^ (static_cast<uint64_t>(mode) << 32));
   FaultSchedule& f = run.faults;
   f = FaultSchedule{};
-  const uint64_t r0 = Mix(run.fault_seed);
-  const uint64_t r1 = Mix(r0);
-  const uint64_t r2 = Mix(r1);
+  const uint64_t r0 = SplitMix64(run.fault_seed);
+  const uint64_t r1 = SplitMix64(r0);
+  const uint64_t r2 = SplitMix64(r1);
   switch (mode) {
     case ChaosMode::kCrash: {
       // First crash hits the orchestrator (node 0) mid-wave — the failover

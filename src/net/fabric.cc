@@ -5,6 +5,7 @@
 
 #include "src/net/capture.h"
 #include "src/sim/check.h"
+#include "src/sim/rng.h"
 
 namespace fragvisor {
 
@@ -66,14 +67,6 @@ LinkParams LinkParams::Ethernet1G() {
 }
 
 namespace {
-
-// splitmix64: the repo-standard deterministic mixer (cf. workload/dsmstorm).
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 // Nodes per dense link table: above this the O(n^2) table would dominate
 // memory and the map wins.
@@ -209,6 +202,24 @@ void Fabric::SetLinkParams(NodeId src, NodeId dst, LinkParams params) {
     FV_CHECK_GE(params.latency + CrossPodExtra(src, dst), ploop_->lookahead());
   }
   LinkFor(src, dst).params = params;
+}
+
+void Fabric::JitterLinks(TimeNs jitter, uint64_t seed) {
+  if (jitter <= 0) {
+    return;
+  }
+  for (NodeId s = 0; s < num_nodes_; ++s) {
+    for (NodeId d = 0; d < num_nodes_; ++d) {
+      if (s == d) {
+        continue;
+      }
+      LinkParams lp = defaults_;
+      const uint64_t key =
+          SplitMix64(seed ^ (static_cast<uint64_t>(s) << 32 | static_cast<uint32_t>(d)));
+      lp.latency += static_cast<TimeNs>(key % static_cast<uint64_t>(jitter + 1));
+      SetLinkParams(s, d, lp);
+    }
+  }
 }
 
 void Fabric::AttachFaultPlan(FaultPlan* plan, RetryPolicy policy, bool arm) {

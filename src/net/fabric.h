@@ -246,6 +246,12 @@ class Fabric {
   // Overrides the parameters of the directed link src -> dst.
   void SetLinkParams(NodeId src, NodeId dst, LinkParams params);
 
+  // Gives every directed link between two distinct nodes the default
+  // parameters plus a fixed latency jitter, SplitMix64(seed ^ (src << 32 |
+  // dst)) % (jitter + 1). A no-op for jitter <= 0; otherwise n^2 links, so
+  // call it once, at setup.
+  void JitterLinks(TimeNs jitter, uint64_t seed);
+
   // Parameters of the directed link src -> dst (schedulers layered above the
   // fabric need the serialization bandwidth). The reference stays valid and
   // current for the fabric's lifetime — hot paths should look it up once per
