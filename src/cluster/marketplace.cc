@@ -2089,7 +2089,8 @@ const char* MarketplaceOptions::Invalid() const {
   if (failover.heartbeat_ns < 1) return "failover_heartbeat_ns must be at least 1";
   if (failover.probe_interval_ns < 1) return "failover_probe_interval_ns must be at least 1";
   if (failover.done_retry_ns < 0) return "failover_done_retry_ns must be at least 0";
-  return nullptr;
+  if (const char* why = link.Invalid()) return why;
+  return topology.Invalid();
 }
 
 const char* VmFailReasonName(VmFailReason reason) {

@@ -506,7 +506,7 @@ TimeNs DsmEngine::HandlerCost() const {
 }
 
 void DsmEngine::SendProto(NodeId src, NodeId dst, MsgKind kind, uint64_t bytes,
-                          EventLoop::Callback cb, EventLoop::Callback on_fail, QosClass qos,
+                          EventLoop::Callback&& cb, EventLoop::Callback&& on_fail, QosClass qos,
                           TimeNs receiver_delay) {
   // The receiver-side handler cost rides on the delivery event as a relay:
   // no nested callback, no allocation per protocol hop. Retransmissions (with

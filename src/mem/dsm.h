@@ -529,8 +529,8 @@ class DsmEngine {
   // `receiver_delay` overrides the per-message handler cost at the receiver;
   // the default (-1) charges HandlerCost(). One-sided RDMA legs pass 0: the
   // remote CPU never runs a handler for them.
-  void SendProto(NodeId src, NodeId dst, MsgKind kind, uint64_t bytes, EventLoop::Callback cb,
-                 EventLoop::Callback on_fail = nullptr, QosClass qos = QosClass::kLatency,
+  void SendProto(NodeId src, NodeId dst, MsgKind kind, uint64_t bytes, EventLoop::Callback&& cb,
+                 EventLoop::Callback&& on_fail = nullptr, QosClass qos = QosClass::kLatency,
                  TimeNs receiver_delay = -1);
 
   void CompleteFault(PageNum page, const Transaction& txn);

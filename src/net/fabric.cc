@@ -66,6 +66,22 @@ LinkParams LinkParams::Ethernet1G() {
   };
 }
 
+const char* LinkParams::Invalid() const {
+  if (latency < 1) return "link_latency_ns (latency) must be at least 1";
+  if (!(bytes_per_second > 0)) return "link_bps (bytes_per_second) must be above 0";
+  if (one_sided_setup < 0) {
+    return "link_one_sided_setup_ns (one_sided_setup) must be at least 0";
+  }
+  return nullptr;
+}
+
+const char* TopologyConfig::Invalid() const {
+  if (pod_size < 1) return "pod (pod_size) must be at least 1";
+  if (!(oversub >= 1.0)) return "oversub must be at least 1";
+  if (core_planes < 1) return "planes (core_planes) must be at least 1";
+  return nullptr;
+}
+
 namespace {
 
 // Nodes per dense link table: above this the O(n^2) table would dominate
@@ -353,8 +369,8 @@ Fabric::WireFate Fabric::Transmit(NodeId src, NodeId dst, LinkState& link, TimeN
   return fate;
 }
 
-void Fabric::Send(NodeId src, NodeId dst, MsgKind kind, uint64_t size, DeliveryFn on_delivery,
-                  TimeNs receiver_delay, DeliveryFn on_fail, DeliveryFn on_settle) {
+void Fabric::Send(NodeId src, NodeId dst, MsgKind kind, uint64_t size, DeliveryFn&& on_delivery,
+                  TimeNs receiver_delay, DeliveryFn&& on_fail, DeliveryFn&& on_settle) {
   ValidateNode(src);
   ValidateNode(dst);
   FV_CHECK(on_delivery != nullptr);
@@ -492,7 +508,7 @@ void Fabric::Fail(Pending* p) {
 }
 
 void Fabric::SendDatagram(NodeId src, NodeId dst, MsgKind kind, uint64_t size,
-                          DeliveryFn on_delivery, TimeNs receiver_delay) {
+                          DeliveryFn&& on_delivery, TimeNs receiver_delay) {
   ValidateNode(src);
   ValidateNode(dst);
   FV_CHECK(on_delivery != nullptr);

@@ -93,6 +93,11 @@ struct LinkParams {
     v("link_one_sided_setup_ns", one_sided_setup);
   }
 
+  // The first broken rule, naming its key, or null: a latency of at least
+  // 1 ns (the parallel core's lookahead), a bandwidth above 0 and a setup
+  // cost of at least 0.
+  const char* Invalid() const;
+
   // 56 Gbps InfiniBand (Mellanox ConnectX-4 class): ~1.5 us one-way for small
   // messages through one switch.
   static LinkParams InfiniBand56G();
@@ -127,6 +132,10 @@ struct TopologyConfig {
     v("oversub", oversub);
     v("planes", core_planes);
   }
+
+  // The first broken rule, naming its key, or null. Checked on every
+  // topology, so a value is refused before it is ever read.
+  const char* Invalid() const;
 
   static TopologyConfig Mesh() { return TopologyConfig(); }
   static TopologyConfig FatTree(int pod_size, double oversub, int core_planes = 4) {
@@ -310,15 +319,18 @@ class Fabric {
   // sender-local proof of delivery the channel gets for free from the
   // first-copy-wins property. Exactly one of on_settle / on_fail runs; a send
   // abandoned after max_attempts never settles.
-  void Send(NodeId src, NodeId dst, MsgKind kind, uint64_t size, DeliveryFn on_delivery,
-            TimeNs receiver_delay = 0, DeliveryFn on_fail = nullptr,
-            DeliveryFn on_settle = nullptr);
+  //
+  // The callbacks are taken by reference and moved only into the event slot
+  // (or the reliable channel's Pending) that keeps them.
+  void Send(NodeId src, NodeId dst, MsgKind kind, uint64_t size, DeliveryFn&& on_delivery,
+            TimeNs receiver_delay = 0, DeliveryFn&& on_fail = nullptr,
+            DeliveryFn&& on_settle = nullptr);
 
   // Unreliable send: no retries, no duplicate suppression — a drop loses the
   // message and a duplication runs `on_delivery` twice. Use for traffic whose
   // loss is the signal (heartbeats) or that is idempotent by construction.
-  void SendDatagram(NodeId src, NodeId dst, MsgKind kind, uint64_t size, DeliveryFn on_delivery,
-                    TimeNs receiver_delay = 0);
+  void SendDatagram(NodeId src, NodeId dst, MsgKind kind, uint64_t size,
+                    DeliveryFn&& on_delivery, TimeNs receiver_delay = 0);
 
   // Convenience round-trip: request then response, invoking `on_response`
   // after `server_time` of processing at the destination. `on_fail` (if any)

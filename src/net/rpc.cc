@@ -21,6 +21,8 @@ const char* QosClassName(QosClass cls) {
 RpcLayer::RpcLayer(EventLoop* loop, Fabric* fabric, RpcConfig config)
     : loop_(loop), fabric_(fabric), config_(config) {
   FV_CHECK(fabric != nullptr);
+  handlers_.resize(static_cast<size_t>(fabric->num_nodes()) *
+                   static_cast<size_t>(MsgKind::kCount));
   if (fabric->parallel()) {
     // Per-node stats shards replace the single block. QoS link queues are
     // per directed link and a link (src, dst) is only ever pumped from src's
@@ -47,34 +49,36 @@ RpcLayer::RpcLayer(EventLoop* loop, Fabric* fabric, RpcConfig config)
 }
 
 void RpcLayer::Bind(NodeId node, MsgKind kind, Handler handler) {
+  FV_CHECK_GE(node, 0);
+  FV_CHECK_LT(node, fabric_->num_nodes());
   FV_CHECK(handler != nullptr);
-  handlers_[{node, static_cast<uint8_t>(kind)}] = std::move(handler);
+  handlers_[HandlerIndex(node, kind)] = std::move(handler);
 }
 
-Fabric::DeliveryFn RpcLayer::ResolveDelivery(NodeId src, NodeId dst, MsgKind kind, uint64_t bytes,
-                                             uint64_t token, EventLoop::Callback on_done) {
+void RpcLayer::ResolveDelivery(NodeId src, NodeId dst, MsgKind kind, uint64_t bytes,
+                               uint64_t token, EventLoop::Callback& on_done) {
   if (on_done != nullptr) {
-    return on_done;
+    return;
   }
   // Typed endpoint: the receiver's bound handler is looked up at delivery
   // time, so handlers registered after the send (but before arrival) work.
-  return [this, src, dst, kind, bytes, token]() {
-    auto it = handlers_.find({dst, static_cast<uint8_t>(kind)});
-    if (it != handlers_.end()) {
-      it->second(Inbound{src, dst, kind, bytes, token});
+  on_done = [this, src, dst, kind, bytes, token]() {
+    const Handler& handler = handlers_[HandlerIndex(dst, kind)];
+    if (handler != nullptr) {
+      handler(Inbound{src, dst, kind, bytes, token});
     }
   };
 }
 
-Fabric::DeliveryFn RpcLayer::MakeFailFn(NodeId src, CallOpts& opts) {
+void RpcLayer::WrapFailure(NodeId src, CallOpts& opts) {
   if (opts.abort_counter == nullptr && opts.abort_event == nullptr) {
-    // No declarative bookkeeping: hand the caller's continuation (possibly
-    // null — the fabric then drops silently) straight through, keeping hot
+    // No declarative bookkeeping: the caller's continuation (possibly null —
+    // the fabric then drops silently) goes straight through, keeping hot
     // protocol paths free of a wrapper closure.
-    return std::move(opts.on_fail);
+    return;
   }
-  return [this, src, counter = opts.abort_counter, event = opts.abort_event,
-          detail = opts.abort_detail, on_fail = std::move(opts.on_fail)]() mutable {
+  opts.on_fail = [this, src, counter = opts.abort_counter, event = opts.abort_event,
+                  detail = opts.abort_detail, on_fail = std::move(opts.on_fail)]() mutable {
     S(src).call_failures.Add(1);
     if (counter != nullptr) {
       counter->Add(1);
@@ -89,23 +93,23 @@ Fabric::DeliveryFn RpcLayer::MakeFailFn(NodeId src, CallOpts& opts) {
 }
 
 void RpcLayer::Call(NodeId src, NodeId dst, MsgKind kind, uint64_t bytes,
-                    EventLoop::Callback on_done, CallOpts opts) {
+                    EventLoop::Callback&& on_done, CallOpts&& opts) {
   S(src).calls.Add(1);
   Account(opts.account, bytes);
-  Fabric::DeliveryFn on_fail = MakeFailFn(src, opts);
-  Dispatch(src, dst, kind, bytes, ResolveDelivery(src, dst, kind, bytes, opts.token,
-                                                  std::move(on_done)),
-           opts.receiver_delay, std::move(on_fail), opts.qos);
+  WrapFailure(src, opts);
+  ResolveDelivery(src, dst, kind, bytes, opts.token, on_done);
+  Dispatch(src, dst, kind, bytes, std::move(on_done), opts.receiver_delay,
+           std::move(opts.on_fail), opts.qos);
 }
 
-void RpcLayer::Notify(NodeId src, NodeId dst, MsgKind kind, uint64_t bytes, CallOpts opts) {
+void RpcLayer::Notify(NodeId src, NodeId dst, MsgKind kind, uint64_t bytes, CallOpts&& opts) {
   S(src).notifies.Add(1);
   Call(src, dst, kind, bytes, nullptr, std::move(opts));
 }
 
 void RpcLayer::CallWithRetry(NodeId src, NodeId dst, MsgKind kind, uint64_t bytes,
-                             EventLoop::Callback on_done, EventLoop::Callback on_abandon,
-                             RetrySpec spec, CallOpts opts) {
+                             EventLoop::Callback&& on_done, EventLoop::Callback&& on_abandon,
+                             RetrySpec spec, CallOpts&& opts) {
   if (fabric_->fault_plan() == nullptr) {
     // No failures possible: keep the hot path allocation-free.
     Call(src, dst, kind, bytes, std::move(on_done), std::move(opts));
@@ -168,11 +172,10 @@ void RpcLayer::CallWithRetry(NodeId src, NodeId dst, MsgKind kind, uint64_t byte
 }
 
 void RpcLayer::Datagram(NodeId src, NodeId dst, MsgKind kind, uint64_t bytes,
-                        EventLoop::Callback on_done, TimeNs receiver_delay, uint64_t token) {
+                        EventLoop::Callback&& on_done, TimeNs receiver_delay, uint64_t token) {
   S(src).datagrams.Add(1);
-  fabric_->SendDatagram(src, dst, kind, bytes,
-                        ResolveDelivery(src, dst, kind, bytes, token, std::move(on_done)),
-                        receiver_delay);
+  ResolveDelivery(src, dst, kind, bytes, token, on_done);
+  fabric_->SendDatagram(src, dst, kind, bytes, std::move(on_done), receiver_delay);
 }
 
 void RpcLayer::Multicast(NodeId src, const std::vector<NodeId>& targets, MsgKind kind,
@@ -293,8 +296,9 @@ void RpcLayer::Multicast(NodeId src, const std::vector<NodeId>& targets, MsgKind
 }
 
 void RpcLayer::Dispatch(NodeId src, NodeId dst, MsgKind kind, uint64_t size,
-                        Fabric::DeliveryFn on_delivery, TimeNs receiver_delay,
-                        Fabric::DeliveryFn on_fail, QosClass qos, Fabric::DeliveryFn on_settle) {
+                        Fabric::DeliveryFn&& on_delivery, TimeNs receiver_delay,
+                        Fabric::DeliveryFn&& on_fail, QosClass qos,
+                        Fabric::DeliveryFn&& on_settle) {
   // Loopback never serializes on a wire, so there is nothing to arbitrate.
   if (!config_.qos.enabled || src == dst) {
     fabric_->Send(src, dst, kind, size, std::move(on_delivery), receiver_delay,

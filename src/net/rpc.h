@@ -170,22 +170,29 @@ class RpcLayer {
   // failures home through the mailbox — all partition-local, so every entry
   // point works in that mode (Multicast requires opts.account == nullptr
   // there; plain caller-owned counters are not shard-safe). All Bind() calls
-  // must happen before the run starts (the handler map is read concurrently).
+  // must happen before the run starts (the handler table is read
+  // concurrently).
+  //
+  // Call, Notify, CallWithRetry and Datagram take their continuations and
+  // CallOpts by reference: each callback is moved only into the event slot
+  // (or retry context) that keeps it.
   RpcLayer(EventLoop* loop, Fabric* fabric, RpcConfig config = RpcConfig());
 
   RpcLayer(const RpcLayer&) = delete;
   RpcLayer& operator=(const RpcLayer&) = delete;
 
-  // Registers `handler` for messages of `kind` addressed to `node` that were
-  // sent without an explicit on_done. Re-binding replaces the handler.
+  // Registers `handler` for messages of `kind` addressed to `node` (a node of
+  // the fabric) that were sent without an explicit on_done. Re-binding
+  // replaces the handler.
   void Bind(NodeId node, MsgKind kind, Handler handler);
 
   // Reliable typed send. With default opts this is an exact pass-through to
   // Fabric::Send. A null `on_done` dispatches to the handler bound for
   // (dst, kind), if any.
-  void Call(NodeId src, NodeId dst, MsgKind kind, uint64_t bytes, EventLoop::Callback on_done,
-            CallOpts opts);
-  void Call(NodeId src, NodeId dst, MsgKind kind, uint64_t bytes, EventLoop::Callback on_done) {
+  void Call(NodeId src, NodeId dst, MsgKind kind, uint64_t bytes, EventLoop::Callback&& on_done,
+            CallOpts&& opts);
+  void Call(NodeId src, NodeId dst, MsgKind kind, uint64_t bytes,
+            EventLoop::Callback&& on_done) {
     Call(src, dst, kind, bytes, std::move(on_done), CallOpts());
   }
 
@@ -194,8 +201,8 @@ class RpcLayer {
   // Call — no heap context, no retry bookkeeping. Exactly one of
   // {on_done, on_abandon} eventually runs.
   void CallWithRetry(NodeId src, NodeId dst, MsgKind kind, uint64_t bytes,
-                     EventLoop::Callback on_done, EventLoop::Callback on_abandon, RetrySpec spec,
-                     CallOpts opts);
+                     EventLoop::Callback&& on_done, EventLoop::Callback&& on_abandon,
+                     RetrySpec spec, CallOpts&& opts);
 
   // One-way asynchronous notification: a reliable send whose delivery needs
   // no caller continuation — delivery dispatches to the handler bound for
@@ -203,7 +210,7 @@ class RpcLayer {
   // the DSM owner-hint home notify. Failure handling is opts.on_fail, as with
   // Call; by default a lost notify is simply dropped after the retransmit
   // budget.
-  void Notify(NodeId src, NodeId dst, MsgKind kind, uint64_t bytes, CallOpts opts);
+  void Notify(NodeId src, NodeId dst, MsgKind kind, uint64_t bytes, CallOpts&& opts);
   void Notify(NodeId src, NodeId dst, MsgKind kind, uint64_t bytes) {
     Notify(src, dst, kind, bytes, CallOpts());
   }
@@ -213,7 +220,7 @@ class RpcLayer {
   // delaying a liveness probe behind bulk traffic would forge a failure
   // signal. A null `on_done` dispatches to the bound handler.
   void Datagram(NodeId src, NodeId dst, MsgKind kind, uint64_t bytes,
-                EventLoop::Callback on_done, TimeNs receiver_delay = 0, uint64_t token = 0);
+                EventLoop::Callback&& on_done, TimeNs receiver_delay = 0, uint64_t token = 0);
 
   // One protocol round over `targets` (non-empty, distinct): delivers `kind`
   // to every target, runs `on_target` at each delivery, and runs
@@ -289,19 +296,27 @@ class RpcLayer {
     return shards_.empty() ? stats_ : shards_[static_cast<size_t>(node)];
   }
 
-  // Builds the fabric on_fail callback realizing CallOpts' bookkeeping.
-  // The failure runs on `src`'s partition in parallel mode.
-  Fabric::DeliveryFn MakeFailFn(NodeId src, CallOpts& opts);
+  // Wraps opts.on_fail, in place, into the callback realizing CallOpts'
+  // bookkeeping; without an abort counter or event it stays as it is. The
+  // failure runs on `src`'s partition in parallel mode.
+  void WrapFailure(NodeId src, CallOpts& opts);
 
   // Routes one reliable message: straight to the fabric, or through the
   // QoS link queues when the scheduler is enabled.
   void Dispatch(NodeId src, NodeId dst, MsgKind kind, uint64_t size,
-                Fabric::DeliveryFn on_delivery, TimeNs receiver_delay, Fabric::DeliveryFn on_fail,
-                QosClass qos, Fabric::DeliveryFn on_settle = nullptr);
+                Fabric::DeliveryFn&& on_delivery, TimeNs receiver_delay,
+                Fabric::DeliveryFn&& on_fail, QosClass qos,
+                Fabric::DeliveryFn&& on_settle = nullptr);
 
-  // Wraps a null on_done into the bound-handler dispatch for (dst, kind).
-  Fabric::DeliveryFn ResolveDelivery(NodeId src, NodeId dst, MsgKind kind, uint64_t bytes,
-                                     uint64_t token, EventLoop::Callback on_done);
+  // Fills a null `on_done`, in place, with the bound-handler dispatch for
+  // (dst, kind).
+  void ResolveDelivery(NodeId src, NodeId dst, MsgKind kind, uint64_t bytes, uint64_t token,
+                       EventLoop::Callback& on_done);
+
+  size_t HandlerIndex(NodeId node, MsgKind kind) const {
+    return static_cast<size_t>(node) * static_cast<size_t>(MsgKind::kCount) +
+           static_cast<size_t>(kind);
+  }
 
   void ArmPump(NodeId src, NodeId dst, LinkQueue& lq);
   void PumpLink(NodeId src, NodeId dst);
@@ -310,7 +325,8 @@ class RpcLayer {
   EventLoop* loop_;  // null on a parallel-core fabric
   Fabric* fabric_;
   RpcConfig config_;
-  std::map<std::pair<NodeId, uint8_t>, Handler> handlers_;
+  // Bound handlers, indexed by HandlerIndex(node, kind); null when unbound.
+  std::vector<Handler> handlers_;
   std::map<std::pair<NodeId, NodeId>, LinkQueue> qos_links_;
   RpcStats stats_;
   std::vector<RpcStats> shards_;  // per-node (parallel mode only)

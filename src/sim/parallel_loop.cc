@@ -54,17 +54,18 @@ TimeNs ParallelEventLoop::now_max() const {
   return t;
 }
 
-void ParallelEventLoop::Post(int src, int dst, MailEntry e) {
+void ParallelEventLoop::Post(int src, int dst, CrossEventId token, TimeNs when, TimeNs relay,
+                             bool cancel, Callback&& cb) {
   std::vector<MailEntry>& lane = LaneFor(src, dst).entries;
   if (lane.empty()) {
     Partition& s = *parts_[static_cast<size_t>(src)];
     s.dirty[static_cast<size_t>(dst % opt_.num_threads)].push_back(dst);
   }
-  lane.push_back(std::move(e));
+  lane.emplace_back(token, when, relay, cancel, std::move(cb));
 }
 
 CrossEventId ParallelEventLoop::ScheduleCross(int src, int dst, TimeNs when,
-                                              TimeNs relay_delay, Callback cb,
+                                              TimeNs relay_delay, Callback&& cb,
                                               bool cancellable) {
   FV_CHECK_GE(src, 0);
   FV_CHECK_LT(src, opt_.num_partitions);
@@ -88,7 +89,7 @@ CrossEventId ParallelEventLoop::ScheduleCross(int src, int dst, TimeNs when,
     token = (static_cast<uint64_t>(src) << 48) |
             (static_cast<uint64_t>(dst) << 32) | s.next_token++;
   }
-  Post(src, dst, {token, when, relay_delay, /*cancel=*/false, std::move(cb)});
+  Post(src, dst, token, when, relay_delay, /*cancel=*/false, std::move(cb));
   return token;
 }
 
@@ -106,7 +107,7 @@ bool ParallelEventLoop::CancelCross(int from, CrossEventId id) {
   if (running_) {
     FV_CHECK_EQ(from, tl_current_partition);
   }
-  Post(from, dst, {id, 0, 0, /*cancel=*/true, nullptr});
+  Post(from, dst, id, 0, 0, /*cancel=*/true, nullptr);
   return true;
 }
 

@@ -26,6 +26,8 @@
 // The drain is sparse. Each source partition records the destinations whose
 // lane went from empty to non-empty, filed by the thread that owns them, so a
 // drain visits only the lanes that carry mail instead of all P^2 of them.
+// A cross-partition callback is moved only into its mail entry, built in place
+// in the lane, and from there into its slot in the destination's loop.
 //
 // Determinism contract: the horizon sequence is a pure function of queue
 // state, each partition's queue executes in its own (time, seq) order, and
@@ -53,6 +55,7 @@
 #include <mutex>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/sim/event_loop.h"
@@ -126,7 +129,7 @@ class ParallelEventLoop {
   // May be called from the source partition's callbacks during a window, or
   // from the calling thread while no window is executing (setup).
   CrossEventId ScheduleCross(int src, int dst, TimeNs when, TimeNs relay_delay,
-                             Callback cb, bool cancellable = false);
+                             Callback&& cb, bool cancellable = false);
 
   // Requests cancellation of a cancellable cross event. The request is routed
   // through `from`'s mailbox lane to the owning partition and applied at the
@@ -164,10 +167,13 @@ class ParallelEventLoop {
   // One mailbox entry: a cross schedule (cb != nullptr) or a cross cancel
   // (cb == nullptr, token identifies the victim).
   struct MailEntry {
-    CrossEventId token = kInvalidCrossEventId;
-    TimeNs when = 0;
-    TimeNs relay = 0;
-    bool cancel = false;  // true: withdraw `token` instead of scheduling `cb`
+    MailEntry(CrossEventId t, TimeNs w, TimeNs r, bool c, Callback&& f)
+        : token(t), when(w), relay(r), cancel(c), cb(std::move(f)) {}
+
+    CrossEventId token;
+    TimeNs when;
+    TimeNs relay;
+    bool cancel;  // true: withdraw `token` instead of scheduling `cb`
     Callback cb;
   };
 
@@ -211,8 +217,10 @@ class ParallelEventLoop {
                   static_cast<size_t>(dst)];
   }
 
-  // Appends `e` to lane (src, dst), recording dst as dirty for src.
-  void Post(int src, int dst, MailEntry e);
+  // Appends an entry to lane (src, dst), built in place, recording dst as
+  // dirty for src.
+  void Post(int src, int dst, CrossEventId token, TimeNs when, TimeNs relay, bool cancel,
+            Callback&& cb);
   // Commits the lanes addressed to partitions owned by `thread_index`:
   // schedules first, then cancels, in (dst, src, FIFO) order.
   void Drain(int thread_index);

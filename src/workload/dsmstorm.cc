@@ -506,7 +506,10 @@ const char* StormOptions::Invalid() const {
       return why;
     }
   }
-  return nullptr;
+  if (const char* why = link.Invalid()) {
+    return why;
+  }
+  return topology.Invalid();
 }
 
 StormResult RunStorm(const StormOptions& opts, int threads) {

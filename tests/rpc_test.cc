@@ -54,6 +54,19 @@ TEST_F(RpcTest, NullDeliveryDispatchesToBoundHandler) {
   EXPECT_EQ(rpc_.stats().datagrams.value(), 1u);
 }
 
+TEST_F(RpcTest, BoundHandlersAreLookedUpAtDelivery) {
+  std::vector<int> seen;
+  rpc_.Bind(1, MsgKind::kControl, [&](const RpcLayer::Inbound&) { seen.push_back(1); });
+  rpc_.Bind(1, MsgKind::kControl, [&](const RpcLayer::Inbound&) { seen.push_back(2); });
+  rpc_.Call(0, 1, MsgKind::kControl, 64, nullptr);  // the rebound handler gets it
+  rpc_.Call(0, 2, MsgKind::kLease, 64, nullptr);    // bound only after the send
+  rpc_.Call(0, 3, MsgKind::kLease, 64, nullptr);    // never bound: dropped
+  rpc_.Bind(2, MsgKind::kLease, [&](const RpcLayer::Inbound& msg) { seen.push_back(msg.dst); });
+  loop_.Run();
+  EXPECT_EQ(seen, (std::vector<int>{2, 2}));
+  EXPECT_EQ(rpc_.stats().calls.value(), 3u);
+}
+
 TEST_F(RpcTest, CallOptsRunFailureBookkeepingExactlyOnce) {
   FaultPlan plan(1);
   plan.CrashNode(1, 0);

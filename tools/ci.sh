@@ -169,6 +169,21 @@ for config in "${configs[@]}"; do
     # fvbench in Release under $CARGO_TARGET_DIR/perfbench.
     echo "=== [$config] perfbench self-tests ==="
     CARGO_TARGET_DIR=build-ci python3 perfbench/test_bench.py
+    # The simulated outputs of every workload must equal perfbench/pins.json
+    # on seeds 1 and 7: a change that only speeds the simulator up must not
+    # move them. run.py reports a drift but still exits 0, so read its
+    # verdicts: all three must say match.
+    for seed in 1 7; do
+      echo "=== [$config] perfbench outputs vs pins (seed $seed) ==="
+      pin_log="$artifacts/perfbench_pins_seed$seed.txt"
+      CARGO_TARGET_DIR=build-ci python3 perfbench/run.py --workload all --seed "$seed" \
+        --seconds 0 --min-reps 1 | tee "$pin_log"
+      if grep -E "sim outputs vs pins.json: (changed|unpinned)" "$pin_log" >/dev/null ||
+          [ "$(grep -c "sim outputs vs pins.json: match" "$pin_log")" -ne 3 ]; then
+        echo "perfbench outputs differ from perfbench/pins.json (seed $seed); see $pin_log" >&2
+        exit 1
+      fi
+    done
 
     # Run-to-run determinism of the fast paths at the fvsim level: two
     # identical runs with every --dsm-* flag on must diff clean.
