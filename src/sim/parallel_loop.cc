@@ -7,8 +7,9 @@ namespace fragvisor {
 namespace {
 
 // Which partition the current thread is executing a window for (-1 outside a
-// window). Enforces the SPSC lane discipline: during a window, only the
-// worker that owns partition `src` may write the (src, *) lanes.
+// window). Enforces the outbox discipline: during a window, only the running
+// partition may post, so each outbox has one writer and receives its mail in
+// ascending source order.
 thread_local int tl_current_partition = -1;
 
 }  // namespace
@@ -23,10 +24,8 @@ ParallelEventLoop::ParallelEventLoop(Options options) : opt_(options) {
   parts_.reserve(static_cast<size_t>(opt_.num_partitions));
   for (int p = 0; p < opt_.num_partitions; ++p) {
     parts_.push_back(std::make_unique<Partition>());
-    parts_.back()->dirty.resize(static_cast<size_t>(opt_.num_threads));
   }
-  lanes_.resize(static_cast<size_t>(opt_.num_partitions) *
-                static_cast<size_t>(opt_.num_partitions));
+  outbox_.resize(static_cast<size_t>(opt_.num_threads * opt_.num_threads));
   threads_.resize(static_cast<size_t>(opt_.num_threads));
 
   // Thread 0 is the calling thread; it runs its own share of partitions
@@ -56,12 +55,8 @@ TimeNs ParallelEventLoop::now_max() const {
 
 void ParallelEventLoop::Post(int src, int dst, CrossEventId token, TimeNs when, TimeNs relay,
                              bool cancel, Callback&& cb) {
-  std::vector<MailEntry>& lane = LaneFor(src, dst).entries;
-  if (lane.empty()) {
-    Partition& s = *parts_[static_cast<size_t>(src)];
-    s.dirty[static_cast<size_t>(dst % opt_.num_threads)].push_back(dst);
-  }
-  lane.emplace_back(token, when, relay, cancel, std::move(cb));
+  OutboxFor(Owner(src), Owner(dst))
+      .entries.emplace_back(token, when, relay, src, dst, cancel, std::move(cb));
 }
 
 CrossEventId ParallelEventLoop::ScheduleCross(int src, int dst, TimeNs when,
@@ -80,7 +75,7 @@ CrossEventId ParallelEventLoop::ScheduleCross(int src, int dst, TimeNs when,
   // is currently executing (or, between windows, inside the last one). The
   // owner of `src` is the running thread; every thread holds the same
   // horizon, so between runs any of them will do.
-  FV_CHECK_GE(when, threads_[static_cast<size_t>(src % opt_.num_threads)].horizon);
+  FV_CHECK_GE(when, threads_[static_cast<size_t>(Owner(src))].horizon);
 
   CrossEventId token = kInvalidCrossEventId;
   if (cancellable) {
@@ -112,65 +107,63 @@ bool ParallelEventLoop::CancelCross(int from, CrossEventId id) {
 }
 
 void ParallelEventLoop::Drain(int thread_index) {
-  std::vector<uint32_t>& pairs = threads_[static_cast<size_t>(thread_index)].pairs;
-  pairs.clear();
-  for (int src = 0; src < opt_.num_partitions; ++src) {
-    std::vector<int>& dirty =
-        parts_[static_cast<size_t>(src)]->dirty[static_cast<size_t>(thread_index)];
-    for (const int dst : dirty) {
-      pairs.push_back(static_cast<uint32_t>(dst) << 16 | static_cast<uint32_t>(src));
+  // Each destination commits its mail in (src, FIFO) order. Destinations
+  // share no state, so their mail may interleave, and inside a window the
+  // outboxes (0, t), (1, t), ... hold it in ascending source order already.
+  // Mail the caller posted between runs may not be; a stable sort restores it.
+  std::vector<MailEntry*>& mail = threads_[static_cast<size_t>(thread_index)].mail;
+  mail.clear();
+  bool by_src = true;
+  for (int from = 0; from < opt_.num_threads; ++from) {
+    for (MailEntry& e : OutboxFor(from, thread_index).entries) {
+      by_src = by_src && (mail.empty() || mail.back()->src <= e.src);
+      mail.push_back(&e);
     }
-    dirty.clear();
   }
-  std::sort(pairs.begin(), pairs.end());
-  for (size_t first = 0; first < pairs.size();) {
-    const int dst = static_cast<int>(pairs[first] >> 16);
-    size_t last = first;
-    while (last < pairs.size() && static_cast<int>(pairs[last] >> 16) == dst) {
-      ++last;
+  if (!by_src) {
+    std::stable_sort(mail.begin(), mail.end(),
+                     [](const MailEntry* a, const MailEntry* b) { return a->src < b->src; });
+  }
+  // Pass 1: commit schedules — this fixes the destination sequence numbers of
+  // equal-time cross events independent of which thread produced them, and
+  // guarantees a cancel mailed in the same window as its schedule finds the
+  // event committed.
+  bool cancels = false;
+  for (MailEntry* e : mail) {
+    if (e->cancel) {
+      cancels = true;
+      continue;
     }
-    Partition& d = *parts_[static_cast<size_t>(dst)];
-    // Pass 1: commit schedules in (src, FIFO) order — this fixes the
-    // destination sequence numbers of equal-time cross events independent of
-    // which thread produced them, and guarantees a cancel mailed in the same
-    // window as its schedule finds the event committed.
-    for (size_t i = first; i < last; ++i) {
-      for (MailEntry& e : LaneFor(static_cast<int>(pairs[i] & 0xffffu), dst).entries) {
-        if (e.cancel) {
-          continue;
-        }
-        ++d.mailbox_events;
-        const EventId eid =
-            e.relay > 0 ? d.loop.ScheduleRelay(e.when, e.relay, std::move(e.cb))
-                        : d.loop.ScheduleAt(e.when, std::move(e.cb));
-        if (e.token != kInvalidCrossEventId) {
-          d.cancellable.emplace(e.token, eid);
-        }
-      }
+    Partition& d = *parts_[e->dst];
+    ++d.mailbox_events;
+    const EventId eid = e->relay > 0 ? d.loop.ScheduleRelay(e->when, e->relay, std::move(e->cb))
+                                     : d.loop.ScheduleAt(e->when, std::move(e->cb));
+    if (e->token != kInvalidCrossEventId) {
+      d.cancellable.emplace(e->token, eid);
     }
-    // Pass 2: apply cancels. EventLoop::Cancel rejects handles of events
-    // that already fired (slot generations), which is exactly the "late"
-    // case of the routed-cancel contract.
-    for (size_t i = first; i < last; ++i) {
-      Lane& lane = LaneFor(static_cast<int>(pairs[i] & 0xffffu), dst);
-      for (const MailEntry& e : lane.entries) {
-        if (!e.cancel) {
-          continue;
-        }
-        ++d.cancels_routed;
-        auto it = d.cancellable.find(e.token);
-        if (it != d.cancellable.end() && d.loop.Cancel(it->second)) {
-          ++d.cancels_applied;
-        } else {
-          ++d.cancels_late;
-        }
-        if (it != d.cancellable.end()) {
-          d.cancellable.erase(it);
-        }
-      }
-      lane.entries.clear();
+  }
+  // Pass 2: apply cancels. EventLoop::Cancel rejects handles of events that
+  // already fired (slot generations), which is exactly the "late" case of
+  // the routed-cancel contract.
+  for (size_t i = 0; cancels && i < mail.size(); ++i) {
+    const MailEntry& e = *mail[i];
+    if (!e.cancel) {
+      continue;
     }
-    first = last;
+    Partition& d = *parts_[e.dst];
+    ++d.cancels_routed;
+    auto it = d.cancellable.find(e.token);
+    if (it != d.cancellable.end() && d.loop.Cancel(it->second)) {
+      ++d.cancels_applied;
+    } else {
+      ++d.cancels_late;
+    }
+    if (it != d.cancellable.end()) {
+      d.cancellable.erase(it);
+    }
+  }
+  for (int from = 0; from < opt_.num_threads; ++from) {
+    OutboxFor(from, thread_index).entries.clear();
   }
 }
 
@@ -204,14 +197,14 @@ void ParallelEventLoop::Barrier() {
 }
 
 void ParallelEventLoop::RunThread(int thread_index) {
-  const int P = opt_.num_partitions;
-  const int T = opt_.num_threads;
+  const int first = First(thread_index);
+  const int last = First(thread_index + 1);
   ThreadState& self = threads_[static_cast<size_t>(thread_index)];
   TimeNs last_horizon = 0;
   for (;;) {
     Drain(thread_index);
     self.next_event_time = EventLoop::kNoPendingEvent;
-    for (int p = thread_index; p < P; p += T) {
+    for (int p = first; p < last; ++p) {
       self.next_event_time =
           std::min(self.next_event_time, parts_[static_cast<size_t>(p)]->loop.next_event_time());
     }
@@ -229,7 +222,7 @@ void ParallelEventLoop::RunThread(int thread_index) {
       stats_.horizon_width_ns.Record(static_cast<double>(self.horizon - last_horizon));
       last_horizon = self.horizon;
     }
-    for (int p = thread_index; p < P; p += T) {
+    for (int p = first; p < last; ++p) {
       tl_current_partition = p;
       Partition& part = *parts_[static_cast<size_t>(p)];
       part.dispatched += part.loop.RunBelow(self.horizon);

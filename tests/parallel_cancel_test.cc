@@ -158,6 +158,7 @@ TEST(ParallelCancelTest, DeterministicAcrossWorkerCounts) {
   };
   const std::string t1 = run(1);
   EXPECT_EQ(t1, run(2));
+  EXPECT_EQ(t1, run(3));
   EXPECT_EQ(t1, run(4));
 }
 

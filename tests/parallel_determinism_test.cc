@@ -38,7 +38,7 @@ TEST(ParallelDeterminismTest, StormByteIdenticalAcrossWorkerCountsSeedSweep) {
     so.faults.partitions = {{a, b, Micros(10), Micros(120)}};
 
     const std::string ref = StormReport(RunStorm(so, 1));
-    for (const int threads : {2, 4, 8}) {
+    for (const int threads : {2, 4, 5, 8}) {
       EXPECT_EQ(StormReport(RunStorm(so, threads)), ref)
           << "seed=" << so.seed << " threads=" << threads;
     }

@@ -116,10 +116,12 @@ void ExpectSameStats(const ParallelEventLoop::RunStats& got,
 TEST(ParallelLoopTest, IdenticalScheduleAtAnyWorkerCount) {
   // A mesh of cross-partition sends with colliding timestamps, run twice on
   // one loop; the dispatch transcript (partition, time, tag) and every
-  // RunStats field must not depend on the worker count. The first run ends
-  // on a window that mails only a schedule and its cancel, and between the
-  // runs the calling thread mails into that same lane: a drain that kept its
-  // destination lists past the end of a run would commit the lane twice.
+  // RunStats field must not depend on the worker count, including counts
+  // that split the 8 partitions into uneven blocks. The first run ends on a
+  // window that mails only a schedule and its cancel, and between the runs
+  // the calling thread mails from and to that same pair of partitions: a
+  // drain that left mail in an outbox at the end of a run would commit it
+  // twice.
   struct Outcome {
     std::string transcript;
     ParallelEventLoop::RunStats stats;
@@ -193,10 +195,44 @@ TEST(ParallelLoopTest, IdenticalScheduleAtAnyWorkerCount) {
   };
   const Outcome ref = run(1);
   EXPECT_FALSE(ref.transcript.empty());
-  for (const int threads : {2, 4, 8}) {
+  for (const int threads : {2, 3, 4, 5, 8}) {
     const Outcome got = run(threads);
     EXPECT_EQ(got.transcript, ref.transcript) << "threads=" << threads;
     ExpectSameStats(got.stats, ref.stats, threads);
+  }
+}
+
+TEST(ParallelLoopTest, MailPostedBetweenRunsCommitsInSourceOrder) {
+  // Inside a window, mail reaches the drain in ascending source order; the
+  // calling thread may post from any source in any order between runs. Each
+  // destination still commits its mail in (src, FIFO) order, which fixes the
+  // order of equal-time events, at every worker count.
+  for (const int threads : {1, 2, 3, 4}) {
+    ParallelEventLoop::Options po;
+    po.num_partitions = 7;
+    po.num_threads = threads;
+    po.lookahead = 10;
+    ParallelEventLoop ploop(po);
+    std::vector<std::string> order;
+    ploop.partition(0)->ScheduleAt(5, [&ploop, &order] {
+      ploop.ScheduleCross(0, 2, 15, 0, [&order] { order.push_back("first run"); });
+    });
+    ploop.Run();
+    EXPECT_EQ(order, std::vector<std::string>{"first run"}) << "threads=" << threads;
+
+    order.clear();
+    int posted = 0;
+    for (const int src : {6, 4, 0, 6, 4}) {
+      const std::string tag = std::to_string(src) + "#" + std::to_string(posted++);
+      ploop.ScheduleCross(src, 2, 100, 0, [&order, tag] { order.push_back(tag); });
+    }
+    const CrossEventId id = ploop.ScheduleCross(
+        5, 2, 100, 0, [] { ADD_FAILURE() << "cancelled event fired"; }, /*cancellable=*/true);
+    EXPECT_TRUE(ploop.CancelCross(1, id));
+    ploop.Run();
+    EXPECT_EQ(order, (std::vector<std::string>{"0#2", "4#1", "4#4", "6#0", "6#3"}))
+        << "threads=" << threads;
+    EXPECT_EQ(ploop.stats().cross_cancels_applied, 1u) << "threads=" << threads;
   }
 }
 
@@ -272,7 +308,7 @@ TEST(ParallelStormTest, ByteIdenticalAcrossWorkerCounts) {
   ASSERT_FALSE(ref.empty());
   EXPECT_GT(r1.totals.remote_reads, 0u);
   EXPECT_GT(r1.totals.remote_writes, 0u);
-  for (const int threads : {2, 4, 8}) {
+  for (const int threads : {2, 3, 4, 5, 8}) {
     const StormResult r = RunStorm(so, threads);
     EXPECT_EQ(StormReport(r), ref) << "threads=" << threads;
     // The window decomposition itself is part of the determinism contract.
@@ -297,7 +333,7 @@ TEST(ParallelStormTest, ByteIdenticalAcrossWorkerCountsUnderFaults) {
   EXPECT_GT(r1.faults.messages_dropped.value() + r1.faults.messages_delayed.value() +
                 r1.faults.messages_duplicated.value(),
             0u);
-  for (const int threads : {2, 4, 8}) {
+  for (const int threads : {2, 3, 4, 5, 8}) {
     EXPECT_EQ(StormReport(RunStorm(so, threads)), ref) << "threads=" << threads;
   }
 }
