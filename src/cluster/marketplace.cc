@@ -2062,7 +2062,9 @@ MarketplaceResult Marketplace::Run(const MarketplaceRunConfig& cfg) {
 }  // namespace
 
 const char* MarketplaceOptions::Invalid() const {
-  if (num_nodes < 1) return "nodes (num_nodes) must be at least 1";
+  // The marketplace always runs on the parallel engine, whose CrossEventId
+  // packs partition ids in 16 bits.
+  if (num_nodes < 1 || num_nodes > 65535) return "nodes (num_nodes) must be between 1 and 65535";
   // Wide control tokens carry two node ids in 12 bits each.
   if (faults.any() && num_nodes > 4096) {
     return "nodes (num_nodes) must be at most 4096 with a fault schedule";

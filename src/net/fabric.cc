@@ -1,6 +1,7 @@
 #include "src/net/fabric.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 
 #include "src/net/capture.h"
@@ -77,7 +78,9 @@ const char* LinkParams::Invalid() const {
 
 const char* TopologyConfig::Invalid() const {
   if (pod_size < 1) return "pod (pod_size) must be at least 1";
-  if (!(oversub >= 1.0)) return "oversub must be at least 1";
+  // The core's bandwidth is the edge's divided by oversub, so it must stay
+  // finite for the core to carry anything.
+  if (!(oversub >= 1.0 && std::isfinite(oversub))) return "oversub must be finite and at least 1";
   if (core_planes < 1) return "planes (core_planes) must be at least 1";
   return nullptr;
 }

@@ -118,7 +118,7 @@ struct TopologyConfig {
 
   Kind kind = Kind::kMesh;
   int pod_size = 8;      // nodes per edge switch (fat-tree only)
-  double oversub = 1.0;  // core oversubscription ratio (>= 1; fat-tree only)
+  double oversub = 1.0;  // core oversubscription ratio (finite, >= 1; fat-tree only)
   int core_planes = 4;   // independent core switch planes for ECMP spreading
 
   bool fat_tree() const { return kind == Kind::kFatTree; }

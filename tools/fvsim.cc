@@ -395,6 +395,12 @@ int RunStormCmd(KeyValues& kv) {
     std::fprintf(stderr, "fvsim: threads must be at least 0 (0 = the serial engine)\n");
     return 2;
   }
+  // The parallel engine's CrossEventId packs partition (node) ids in 16 bits.
+  if (threads > 0 && so.num_nodes > 65535) {
+    std::fprintf(stderr,
+                 "fvsim: nodes (num_nodes) must be at most 65535 with --threads 1 or more\n");
+    return 2;
+  }
   std::unique_ptr<CaptureLog> capture;
   if (!capture_path.empty()) {
     capture = std::make_unique<CaptureLog>(so.num_nodes);
