@@ -137,11 +137,14 @@ for config in "${configs[@]}"; do
     # Perf trajectory + fast-path gates, release only. Both benches write
     # BENCH_*.json artifacts into build-ci/artifacts/; ablation_dsm_fastpath
     # exits non-zero (failing CI here) when any swept configuration violates
-    # the coherence invariants or changes workload results.
+    # the coherence invariants or changes workload results, and
+    # micro_core_hotpath when the 64-node storm's report differs across its
+    # parallel worker counts (1, 2, 3, 4 and 8).
     artifacts="build-ci/artifacts"
     mkdir -p "$artifacts"
-    echo "=== [$config] bench: micro_core_hotpath ==="
-    "$build_dir/bench/micro_core_hotpath" --events 500000 --accesses 500000 \
+    echo "=== [$config] bench: micro_core_hotpath (parallel sweep gate) ==="
+    "$build_dir/bench/micro_core_hotpath" --events 200000 --accesses 200000 \
+      --storm-accesses 51200 \
       --out "$artifacts/BENCH_core_hotpath.json" \
       --parallel-out "$artifacts/BENCH_parallel_core.json"
     echo "=== [$config] bench: ablation_dsm_fastpath (invariant gate) ==="
